@@ -11,8 +11,9 @@
 // E10: prints the Fig. 1 top-10 ad table sizes with a rows-equivalent
 //     extrapolation from the generator's bytes/row estimate.
 // E11: projects ~10% of a multi-row-group ads table through
-//     ScanBuilder at increasing thread counts, verifying each result
-//     against the serial scan and reporting throughput + speedup.
+//     Scan(reader)...Collect() at increasing thread counts, verifying
+//     each result against the serial TableReader reads and reporting
+//     throughput + speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -111,14 +112,19 @@ void PrintParallelScanReport() {
   // The pool is shared across scans (server shape): workers spawn
   // once, each timed iteration only pays plan + fetch + decode.
   auto scan_with = [&](size_t threads, ThreadPool* pool) {
-    return ScanBuilder(reader.get())
+    return Scan(reader.get())
         .ColumnIndices(corpus.projection)
         .Threads(threads)
         .PrefetchDepth(2)
         .Pool(pool)
-        .Scan();
+        .Collect();
   };
-  ScanResult serial = *scan_with(1, nullptr);
+  // Ground truth: the serial TableReader path, group by group.
+  std::vector<std::vector<ColumnVector>> serial(reader->num_row_groups());
+  for (uint32_t g = 0; g < serial.size(); ++g) {
+    BULLION_CHECK_OK(
+        reader->ReadProjection(g, corpus.projection, {}, &serial[g]));
+  }
 
   std::printf("%8s %12s %14s %10s %10s\n", "threads", "scan_ms", "MB/s(file)",
               "speedup", "identical");
@@ -127,8 +133,8 @@ void PrintParallelScanReport() {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     // Verify determinism once per thread count before timing.
-    ScanResult check = *scan_with(threads, pool.get());
-    bool identical = check.groups == serial.groups;
+    MaterializedScanResult check = *scan_with(threads, pool.get());
+    bool identical = check.groups == serial;
     double ms = bench::TimeUsAveraged([&] {
                   auto scan = scan_with(threads, pool.get());
                   BULLION_CHECK(scan.ok());
@@ -261,11 +267,11 @@ void BM_ParallelScan(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   for (auto _ : state) {
-    auto scan = ScanBuilder(reader.get())
+    auto scan = Scan(reader.get())
                     .ColumnIndices(corpus->projection)
                     .Threads(threads)
                     .Pool(pool.get())
-                    .Scan();
+                    .Collect();
     BULLION_CHECK(scan.ok());
     benchmark::DoNotOptimize(scan);
   }

@@ -60,7 +60,8 @@ int main() {
 
   // "Serving": read a row back and dequantize for similarity search.
   auto reader = *TableReader::Open(*fs.NewReadableFile("emb"));
-  auto emb_col = ReadFullColumn(reader.get(), "emb");
+  auto emb_col =
+      Scan(reader.get()).Columns({"emb"}).Collect()->ConcatColumn(0);
   std::vector<int64_t> row_bits = emb_col->IntListAt(123);
   std::vector<float> row = DequantizeFloats(row_bits, plan.precision);
 

@@ -5,13 +5,6 @@ namespace bullion {
 Status WriteTableFile(WritableFile* file, const Schema& schema,
                       const std::vector<std::vector<ColumnVector>>& groups,
                       const WriterOptions& options, size_t threads) {
-  if (threads <= 1) {
-    TableWriter writer(schema, file, options);
-    for (const auto& group : groups) {
-      BULLION_RETURN_NOT_OK(writer.WriteRowGroup(group));
-    }
-    return writer.Finish();
-  }
   BULLION_ASSIGN_OR_RETURN(
       std::unique_ptr<ParallelTableWriter> writer,
       WriteBuilder(schema, file).Options(options).Threads(threads).Build());
@@ -22,26 +15,6 @@ Status WriteTableFile(WritableFile* file, const Schema& schema,
             &group, [](const std::vector<ColumnVector>*) {})));
   }
   return writer->Finish();
-}
-
-Result<ColumnVector> ReadFullColumn(TableReader* reader,
-                                    const std::string& column,
-                                    const ReadOptions& options,
-                                    size_t threads) {
-  BULLION_ASSIGN_OR_RETURN(ScanResult scan, ScanBuilder(reader)
-                                                .Columns({column})
-                                                .Threads(threads)
-                                                .Options(options)
-                                                .Scan());
-  return scan.ConcatColumn(0);
-}
-
-Result<ScanResult> ScanTable(TableReader* reader,
-                             const std::vector<std::string>& columns,
-                             size_t threads, const ReadOptions& options) {
-  ScanBuilder builder(reader);
-  if (!columns.empty()) builder.Columns(columns);
-  return builder.Threads(threads).Options(options).Scan();
 }
 
 }  // namespace bullion

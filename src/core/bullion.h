@@ -5,9 +5,9 @@
 //   Schema / ColumnVector      -- format/schema.h, format/column_vector.h
 //   TableWriter / TableReader  -- format/writer.h, format/reader.h
 //   Read planning              -- io/read_planner.h (coalesced pread plans)
-//   Unified streaming scan     -- core/scan.h (bullion::Scan front door),
-//                                 exec/batch_stream.h, io/predicate.h
-//   Parallel scan layer        -- exec/scanner.h, exec/thread_pool.h
+//   Unified scan front door    -- core/scan.h (bullion::Scan: Stream()
+//                                 or Collect()), exec/batch_stream.h,
+//                                 io/predicate.h, exec/thread_pool.h
 //   Sharded datasets           -- dataset/* (multi-file logical tables)
 //   Point-lookup serving       -- serve/* (split-block Bloom filters,
 //                                 the bullion::Lookup front door with
@@ -42,15 +42,14 @@
 //   RowBatch batch;
 //   while (*(*stream)->Next(&batch)) Consume(batch.columns);
 //
-// The legacy materializing ScanBuilder drains exactly that stream (no
-// filters, one batch per row group):
+// Collect() instead of Stream() drains the same stream into memory;
+// with no filters and no BatchRows, one entry per row group:
 //
-//   auto scan = ScanBuilder(reader->get())
+//   auto scan = Scan(reader->get())
 //                   .Columns({"uid", "score"})  // default: all leaves
 //                   .RowGroups(0, (*reader)->num_row_groups())
 //                   .Threads(8)                 // <=1 = serial path
-//                   .PrefetchDepth(2)           // reads in flight/thread
-//                   .Scan();
+//                   .Collect();
 //   auto uid = scan->ConcatColumn(0);           // across row groups
 //
 // Output is byte-identical to the serial TableReader path at any
@@ -65,7 +64,6 @@
 //   auto writer = WriteBuilder(schema, file)
 //                     .RowsPerPage(4096)
 //                     .Threads(8)                // encode workers
-//                     .MaxPendingGroups(4)       // groups in flight
 //                     .Build();
 //   (*writer)->WriteRowGroup(std::move(batch));
 //   (*writer)->Finish();
@@ -77,23 +75,24 @@
 // many Bullion files. ShardedTableWriter splits an append stream into
 // shards by target rows-per-shard — with ShardedWriteBuilder(...)
 // .Threads(N) the row groups of ALL shards encode concurrently on one
-// shared pool with one bounded in-flight window, committing in order
-// so every shard file is byte-identical to a serial write.
+// shared pool through the same bounded in-flight window as
+// WriteBuilder, committing in order so every shard file is
+// byte-identical to a serial write.
 // ShardManifest records the shard list and global row-group index;
 // ShardedTableReader scans them as one table, fanning every shard's
 // coalesced reads through ONE shared ThreadPool. An optional
 // DecodedChunkCache (byte-budgeted LRU of decoded chunks) lets
 // repeated training epochs skip fetch + decode — fully cached row
-// groups issue zero preads (see IoStats.cache_hits).
-// DatasetScanBuilder is the front door:
+// groups issue zero preads (see IoStats.cache_hits). The same Scan
+// front door reads it:
 //
 //   auto ds = ShardedTableReader::Open(manifest, open_fn);
 //   DecodedChunkCache cache(256 << 20, &fs.stats());
-//   auto scan = DatasetScanBuilder(ds->get())
+//   auto scan = Scan(ds->get())
 //                   .Columns({"uid", "clk_seq"})
 //                   .Threads(8)                 // one pool, all shards
 //                   .Cache(&cache)              // warm epochs skip I/O
-//                   .Scan();
+//                   .Collect();
 //   auto uid = scan->ConcatColumn(0);           // across every shard
 //
 // Output is byte-identical to concatenating per-shard serial scans at
@@ -134,7 +133,6 @@
 #include "dataset/sharded_reader.h"
 #include "dataset/sharded_writer.h"
 #include "encoding/cascade.h"
-#include "exec/scanner.h"
 #include "exec/thread_pool.h"
 #include "exec/writer.h"
 #include "format/column_vector.h"
@@ -164,27 +162,11 @@ namespace bullion {
 /// Library version.
 inline constexpr const char* kVersionString = "0.1.0";
 
-/// Convenience: writes a complete table (one call, many row groups).
-/// Runs on the exec-layer parallel writer; `threads` <= 1 keeps the
-/// write serial. Output bytes are identical either way.
+/// Convenience: writes a complete table (one call, many row groups)
+/// through ParallelTableWriter; `threads` <= 1 encodes inline on the
+/// calling thread. Output bytes are identical either way.
 Status WriteTableFile(WritableFile* file, const Schema& schema,
                       const std::vector<std::vector<ColumnVector>>& groups,
                       const WriterOptions& options = {}, size_t threads = 1);
-
-/// Convenience: opens a table and reads one full column across all row
-/// groups (concatenated). Runs on the exec-layer scanner; `threads`
-/// <= 1 keeps the scan serial.
-Result<ColumnVector> ReadFullColumn(TableReader* reader,
-                                    const std::string& column,
-                                    const ReadOptions& options = {},
-                                    size_t threads = 1);
-
-/// Convenience: scans a projection of every row group, fanning fetch +
-/// decode across `threads` workers (the ScanBuilder front door with
-/// defaults applied).
-Result<ScanResult> ScanTable(TableReader* reader,
-                             const std::vector<std::string>& columns,
-                             size_t threads,
-                             const ReadOptions& options = {});
 
 }  // namespace bullion

@@ -24,10 +24,14 @@
 //     Train(batch.columns);                          // bounded memory
 //   }
 //
-// The legacy materializing front doors (exec::ScanBuilder,
-// dataset::DatasetScanBuilder) are thin wrappers that drain this
-// stream at row-group granularity — byte-identical to their historical
-// output at any thread count.
+// Collect() in place of Stream() drains the same stream into memory.
+// With no filters and no BatchRows each entry is one row group, the
+// untouched decode of that group, so the result equals the serial
+// TableReader::ReadProjection of every group (for datasets, per-shard
+// serial reads concatenated) at any thread count:
+//
+//   auto scan = bullion::Scan(reader).Columns({"uid"}).Threads(4).Collect();
+//   auto uid = scan->ConcatColumn(0);                // across row groups
 
 #pragma once
 
@@ -46,6 +50,27 @@
 #include "io/predicate.h"
 
 namespace bullion {
+
+/// \brief Fully-materialized output of ScanStreamBuilder::Collect(), columns
+/// in projection order.
+struct MaterializedScanResult {
+  /// Resolved leaf indices, in projection order.
+  std::vector<uint32_t> columns;
+  /// First row group of the scanned range.
+  uint32_t group_begin = 0;
+  /// groups[i][slot] — decoded rows of columns[slot]. With no filters
+  /// and no BatchRows entry i is row group group_begin + i; otherwise
+  /// it is the i-th emitted batch.
+  std::vector<std::vector<ColumnVector>> groups;
+  /// Leaf type of each projection slot (valid even with zero groups).
+  std::vector<ColumnRecord> column_records;
+
+  size_t num_groups() const { return groups.size(); }
+  uint64_t num_rows() const;
+
+  /// Concatenates column `slot` across all entries, in order.
+  Result<ColumnVector> ConcatColumn(size_t slot) const;
+};
 
 /// \brief Fluent builder for streaming scans over either source kind.
 class ScanStreamBuilder {
@@ -179,6 +204,10 @@ class ScanStreamBuilder {
     }
     return OpenScanStream(dataset_, spec_, cache_);
   }
+
+  /// Opens the stream and drains it into memory (see
+  /// MaterializedScanResult for what each entry holds).
+  Result<MaterializedScanResult> Collect() const;
 
  private:
   const TableReader* file_ = nullptr;

@@ -121,14 +121,14 @@ struct ShardInfo {
   /// Aggregated per-column zone maps at publish time (empty = unknown;
   /// scans then fall back to aggregating the shard footer's chunk
   /// stats). Only columns with a valid min/max are listed.
-  std::vector<ShardColumnStats> column_stats;
+  std::vector<ShardColumnStats> column_stats = {};
   /// Aggregated per-column Bloom filters at publish time (empty = none
   /// recorded; lookups then cannot skip the shard without probing its
   /// footer's chunk filters). Only Bloom-eligible columns are listed.
   /// Unlike zone maps these cannot be backfilled from footer chunk
   /// filters — differently sized split-block filters do not OR — so a
   /// shard kept as-is by a pre-Bloom compactor simply stays unlisted.
-  std::vector<ShardColumnBloom> column_blooms;
+  std::vector<ShardColumnBloom> column_blooms = {};
 
   /// Deleted fraction recorded at publish time.
   double deleted_fraction() const {

@@ -14,7 +14,8 @@ Status ValidateShardedWriterOptions(const ShardedWriterOptions& options,
   if (options.rows_per_group == 0) {
     return Status::InvalidArgument("rows_per_group must be positive");
   }
-  return ValidateWriterOptions(options.writer, schema);
+  BULLION_RETURN_NOT_OK(ValidateWriterOptions(options.writer, schema));
+  return ValidateDeletableLeaves(options.writer, schema);
 }
 
 ShardedTableWriter::ShardedTableWriter(Schema schema,
@@ -24,15 +25,11 @@ ShardedTableWriter::ShardedTableWriter(Schema schema,
       options_(std::move(options)),
       opener_(std::move(opener)),
       init_status_(ValidateShardedWriterOptions(options_, schema_)),
-      pool_(pool) {
-  if (pool_ == nullptr && options_.threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
-    pool_ = owned_pool_.get();
-  }
-  size_t workers =
-      pool_ != nullptr ? std::max<size_t>(pool_->num_threads(), 1) : 1;
-  max_pending_ = options_.max_pending_groups > 0 ? options_.max_pending_groups
-                                                 : 2 * workers;
+      window_(options_.threads, pool,
+              [this](const StagedRowGroup& staged,
+                     const std::vector<EncodedPage>& pages) {
+                return CommitGroup(staged, pages);
+              }) {
   pending_batch_.reserve(schema_.num_leaves());
   for (const LeafColumn& leaf : schema_.leaves()) {
     pending_batch_.push_back(ColumnVector::ForLeaf(leaf));
@@ -46,22 +43,9 @@ std::string ShardedTableWriter::ShardName(const std::string& base,
   return base + suffix;
 }
 
-Status ShardedTableWriter::EnsureShardOpen(size_t shard) {
-  if (shard_writer_ != nullptr) {
-    if (open_shard_ != shard) {
-      return Status::Unknown("commit crossed a shard boundary out of order");
-    }
-    return Status::OK();
-  }
-  std::string name =
-      ShardName(options_.base_name, options_.first_shard_index + shard);
-  BULLION_ASSIGN_OR_RETURN(shard_file_, opener_(name));
-  shard_writer_ = std::make_unique<TableWriter>(schema_, shard_file_.get(),
-                                                options_.writer);
-  open_shard_ = shard;
-  shard_rows_ = 0;
-  shard_groups_ = 0;
-  return Status::OK();
+std::string ShardedTableWriter::CurrentShardName() const {
+  return ShardName(options_.base_name,
+                   options_.first_shard_index + shards_.size());
 }
 
 Status ShardedTableWriter::SubmitGroup() {
@@ -81,56 +65,30 @@ Status ShardedTableWriter::SubmitGroup() {
   Result<StagedRowGroup> staged =
       StageValidatedRowGroup(schema_, options_.writer, std::move(batch));
   if (!staged.ok()) {
-    error_ = staged.status();
-    return error_;
-  }
-
-  // Shard assignment is pure row-count arithmetic on the staging side,
-  // so it is identical at any thread count. Shards close only at group
-  // boundaries, so every shard is a complete Bullion file.
-  pending_.emplace_back();
-  PendingGroup& pg = pending_.back();
-  pg.shard = staging_shard_;
-  staging_shard_rows_ += rows;
-  pg.closes_shard = staging_shard_rows_ >= options_.target_rows_per_shard;
-  if (pg.closes_shard) {
-    ++staging_shard_;
-    staging_shard_rows_ = 0;
+    window_.Fail(staged.status());
+    return window_.status();
   }
   total_rows_ += rows;
-
-  // Encode tasks capture a pointer to the pages vector: emplace first,
-  // submit second, and never move the PendingGroup while tasks run.
-  pg.staged = std::make_shared<const StagedRowGroup>(std::move(*staged));
-  pg.tasks = std::make_unique<TaskGroup>(pool_);
-  Status st = SubmitGroupEncode(pg.staged, pg.tasks.get(), &pg.pages);
-  if (!st.ok()) {
-    // The submit error is the one to report; the join only reclaims
-    // whatever tasks did start.
-    pg.tasks->Wait().IgnoreError();
-    pending_.pop_back();
-    error_ = st;
-    return error_;
-  }
-  while (pending_.size() > max_pending_) {
-    BULLION_RETURN_NOT_OK(DrainOne());
-  }
-  return Status::OK();
+  return window_.Submit(std::move(*staged));
 }
 
-Status ShardedTableWriter::DrainOne() {
-  PendingGroup& pg = pending_.front();
-  Status st = pg.tasks->Wait();
-  if (st.ok()) st = EnsureShardOpen(pg.shard);
-  if (st.ok()) st = shard_writer_->CommitEncodedGroup(*pg.staged, pg.pages);
-  if (st.ok()) {
-    shard_rows_ += pg.staged->row_count;
-    ++shard_groups_;
-    if (pg.closes_shard) st = CloseShard();
+Status ShardedTableWriter::CommitGroup(const StagedRowGroup& staged,
+                                       const std::vector<EncodedPage>& pages) {
+  if (shard_writer_ == nullptr) {
+    BULLION_ASSIGN_OR_RETURN(shard_file_, opener_(CurrentShardName()));
+    shard_writer_ = std::make_unique<TableWriter>(schema_, shard_file_.get(),
+                                                  options_.writer);
+    shard_rows_ = 0;
+    shard_groups_ = 0;
   }
-  pending_.pop_front();
-  if (!st.ok()) error_ = st;
-  return st;
+  BULLION_RETURN_NOT_OK(shard_writer_->CommitEncodedGroup(staged, pages));
+  shard_rows_ += staged.row_count;
+  ++shard_groups_;
+  // Commits run in row-group order, so the boundary is pure row-count
+  // arithmetic, identical at any thread count. Shards close only at
+  // group boundaries, so every shard is a complete Bullion file.
+  return shard_rows_ >= options_.target_rows_per_shard ? CloseShard()
+                                                       : Status::OK();
 }
 
 Status ShardedTableWriter::CloseShard() {
@@ -155,9 +113,8 @@ Status ShardedTableWriter::CloseShard() {
   BULLION_RETURN_NOT_OK(shard_writer_->Finish());
   BULLION_RETURN_NOT_OK(shard_file_->Flush());
   shards_.push_back(ShardInfo{
-      ShardName(options_.base_name, options_.first_shard_index + open_shard_),
-      shard_rows_, shard_groups_, /*deleted_rows=*/0, /*generation=*/0,
-      std::move(column_stats), std::move(column_blooms)});
+      CurrentShardName(), shard_rows_, shard_groups_, /*deleted_rows=*/0,
+      /*generation=*/0, std::move(column_stats), std::move(column_blooms)});
   shard_writer_.reset();
   shard_file_.reset();
   return Status::OK();
@@ -165,7 +122,7 @@ Status ShardedTableWriter::CloseShard() {
 
 Status ShardedTableWriter::Append(const std::vector<ColumnVector>& columns) {
   BULLION_RETURN_NOT_OK(init_status_);
-  BULLION_RETURN_NOT_OK(error_);
+  BULLION_RETURN_NOT_OK(window_.status());
   if (finished_) return Status::InvalidArgument("writer already finished");
   if (columns.size() != schema_.num_leaves()) {
     return Status::InvalidArgument("batch has wrong leaf count");
@@ -198,18 +155,10 @@ Result<ShardManifest> ShardedTableWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
   finished_ = true;
   BULLION_RETURN_NOT_OK(init_status_);
-  Status st = error_;
-  if (st.ok()) st = SubmitGroup();  // partial tail group
-  while (!pending_.empty()) {
-    if (st.ok()) {
-      st = DrainOne();
-    } else {
-      // A commit already failed: join the stragglers without writing.
-      // `st` already holds the error to report.
-      pending_.front().tasks->Wait().IgnoreError();
-      pending_.pop_front();
-    }
-  }
+  // A failed tail submit is sticky in the window, so Finish() then
+  // joins the stragglers without committing and returns it.
+  if (window_.status().ok()) SubmitGroup().IgnoreError();
+  Status st = window_.Finish();
   if (st.ok() && shard_writer_ != nullptr) {
     st = CloseShard();  // partial tail shard
   }

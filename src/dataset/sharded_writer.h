@@ -11,12 +11,14 @@
 //
 // The write path is the staged pipeline from format/writer.h: every
 // full row group is staged immediately and its page-encode tasks fan
-// out across ONE shared exec::ThreadPool (exec/writer.h's
-// SubmitGroupEncode), while commits trail behind in row-group order —
-// so groups of several shards encode concurrently, bounded by one
-// in-flight window. Shard assignment is decided at staging time from
-// row counts alone, and all file bytes are placed at commit time, so
-// output is byte-identical to the serial writer at any thread count.
+// out across ONE shared exec::ThreadPool through the same
+// GroupEncodeWindow (exec/writer.h) that ParallelTableWriter uses,
+// while commits trail behind in row-group order — so groups of several
+// shards encode concurrently, bounded by one in-flight window. This
+// writer's commit step opens and closes the shard files. Commits run in
+// row-group order, so shard boundaries follow from row counts alone,
+// and all file bytes are placed at commit time: output is
+// byte-identical to the serial writer at any thread count.
 //
 // File creation goes through a caller-supplied opener so the writer is
 // filesystem-agnostic (InMemoryFileSystem in tests/benches, POSIX in
@@ -37,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -72,16 +73,14 @@ struct ShardedWriterOptions {
   WriterOptions writer;
   /// Encode worker threads shared across ALL shards (<= 1 encodes
   /// inline on the calling thread — the serial reference path). An
-  /// external pool passed to the constructor overrides this.
+  /// external pool passed to the constructor overrides this. Up to
+  /// 2 × workers row groups are in flight across all shards.
   size_t threads = 1;
-  /// Row groups allowed in flight (staged/encoding, uncommitted)
-  /// across all shards; 0 = 2 × encode workers.
-  size_t max_pending_groups = 0;
 };
 
 /// Checks a ShardedWriterOptions against a schema: positive
-/// rows-per-shard / rows-per-group plus the nested WriterOptions
-/// checks.
+/// rows-per-shard / rows-per-group plus the nested WriterOptions and
+/// deletable-leaf checks.
 Status ValidateShardedWriterOptions(const ShardedWriterOptions& options,
                                     const Schema& schema);
 
@@ -108,72 +107,50 @@ class ShardedTableWriter {
 
   /// Rows accepted so far (buffered and in-flight rows included).
   uint64_t num_rows() const { return total_rows_ + pending_rows_; }
-  /// Shards assigned at least one row group so far (committed or
-  /// still encoding).
-  size_t num_shards_started() const {
-    return staging_shard_ + (staging_shard_rows_ > 0 ? 1 : 0);
-  }
-  /// Row groups currently staged or encoding, not yet committed.
-  size_t pending_groups() const { return pending_.size(); }
 
   /// Name of shard `index` under `base`: "<base>.shard-00042".
   static std::string ShardName(const std::string& base, size_t index);
 
  private:
-  struct PendingGroup {
-    size_t shard;       // which shard this group commits into
-    bool closes_shard;  // last group of its shard
-    std::shared_ptr<const StagedRowGroup> staged;
-    std::vector<EncodedPage> pages;
-    std::unique_ptr<TaskGroup> tasks;
-  };
-
-  /// Stages the buffered rows as one row group, assigns it to a shard,
-  /// and fans its encodes out on the pool.
+  /// Stages the buffered rows as one row group and submits it to the
+  /// encode window.
   Status SubmitGroup();
-  /// Joins the oldest pending group's encodes and commits it to its
-  /// shard (opening/closing shard files as boundaries pass).
-  Status DrainOne();
-  /// Opens shard `shard`'s file lazily (commit side).
-  Status EnsureShardOpen(size_t shard);
+  /// The window's commit step: appends an encoded group to the current
+  /// shard, opening its file first and closing it once the shard
+  /// reaches the target row count.
+  Status CommitGroup(const StagedRowGroup& staged,
+                     const std::vector<EncodedPage>& pages);
   /// Finishes the current shard file and records its ShardInfo.
   Status CloseShard();
+  /// Name of the shard the next CloseShard() records.
+  std::string CurrentShardName() const;
 
   Schema schema_;
   ShardedWriterOptions options_;
   FileOpener opener_;
   Status init_status_;
 
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;
-  size_t max_pending_;
-
   /// Row-group staging buffer (one vector per leaf).
   std::vector<ColumnVector> pending_batch_;
   uint64_t pending_rows_ = 0;
 
-  // Staging side: which shard new groups belong to. Pure row-count
-  // arithmetic, so assignment is independent of encode scheduling.
-  size_t staging_shard_ = 0;
-  uint64_t staging_shard_rows_ = 0;
-
-  std::deque<PendingGroup> pending_;
-
-  // Commit side: trails staging by at most the in-flight window.
+  // Commit side: trails staging by at most the in-flight window. The
+  // open shard is number shards_.size().
   std::unique_ptr<WritableFile> shard_file_;
   std::unique_ptr<TableWriter> shard_writer_;
-  size_t open_shard_ = 0;
   uint64_t shard_rows_ = 0;
   uint32_t shard_groups_ = 0;
 
   std::vector<ShardInfo> shards_;
   uint64_t total_rows_ = 0;
-  Status error_;  // sticky first failure
   bool finished_ = false;
+
+  /// In-flight groups; the commit step (CommitGroup) writes the shard
+  /// state above.
+  GroupEncodeWindow window_;
 };
 
-/// \brief Fluent builder for (parallel) sharded writes — the write-side
-/// twin of DatasetScanBuilder.
+/// \brief Fluent builder for (parallel) sharded writes.
 class ShardedWriteBuilder {
  public:
   ShardedWriteBuilder(Schema schema, ShardedTableWriter::FileOpener opener)
@@ -211,11 +188,6 @@ class ShardedWriteBuilder {
   /// Encode worker threads shared across all shards.
   ShardedWriteBuilder& Threads(size_t n) {
     options_.threads = n;
-    return *this;
-  }
-  /// Row groups allowed in flight across all shards (0 = 2 × workers).
-  ShardedWriteBuilder& MaxPendingGroups(size_t n) {
-    options_.max_pending_groups = n;
     return *this;
   }
   /// Run encodes on a shared pool instead of a writer-private one.

@@ -39,6 +39,13 @@ double ScoreCost(const CascadeOptions& opts, EncodingType t, size_t est_bytes,
          opts.w_decode * c.decode * static_cast<double>(count);
 }
 
+/// Int encodings whose payload holds child blocks encoded through
+/// CascadeContext::EncodeIntChild (or EncodeBoolChild).
+bool IntEncodingHasChildren(EncodingType t) {
+  return t == EncodingType::kDelta || t == EncodingType::kMainlyConstant ||
+         t == EncodingType::kRle || t == EncodingType::kDictionary;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -442,10 +449,14 @@ Status CascadeContext::EncodeIntChild(std::span<const int64_t> values,
     // Cheap fallback at the recursion floor. When the caller pinned a
     // single allowed encoding (deletable pages need deterministic,
     // deletion-monotone children), honor it; otherwise FOR-delta, which
-    // is always applicable and never expands much.
-    EncodingType leaf_type = options_.allowed.size() == 1
-                                 ? options_.allowed[0]
-                                 : EncodingType::kForDelta;
+    // is always applicable and never expands much. A pinned encoding
+    // with child streams would recurse below the floor forever, so it
+    // gets FOR-delta too.
+    EncodingType leaf_type = EncodingType::kForDelta;
+    if (options_.allowed.size() == 1 &&
+        !IntEncodingHasChildren(options_.allowed[0])) {
+      leaf_type = options_.allowed[0];
+    }
     CascadeContext leaf(options_, depth_ + 1);
     return EncodeIntBlockAs(leaf_type, values, &leaf, out);
   }

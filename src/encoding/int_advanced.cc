@@ -53,10 +53,6 @@ Status DecodeRleInto(SliceReader* in, size_t n, int64_t* out) {
   return Status::OK();
 }
 
-Status DecodeRle(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeRleInto(in, n, out->data());
-}
 
 Status EncodeDictionary(std::span<const int64_t> v, CascadeContext* ctx,
                         bool reserve_mask_entry, BufferBuilder* out) {
@@ -119,10 +115,6 @@ Status DecodeDictionaryInto(SliceReader* in, size_t n, int64_t* out) {
   return Status::OK();
 }
 
-Status DecodeDictionary(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeDictionaryInto(in, n, out->data());
-}
 
 Status EncodeMainlyConstant(std::span<const int64_t> v, CascadeContext* ctx,
                             BufferBuilder* out) {
@@ -184,11 +176,6 @@ Status DecodeMainlyConstantInto(SliceReader* in, size_t n, int64_t* out) {
   return Status::OK();
 }
 
-Status DecodeMainlyConstant(SliceReader* in, size_t n,
-                            std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeMainlyConstantInto(in, n, out->data());
-}
 
 Status EncodeSentinel(std::span<const int64_t> v,
                       std::span<const uint8_t> validity, int64_t sentinel,
@@ -479,11 +466,6 @@ Status DecodeHuffmanInto(SliceReader* in, size_t n, int64_t* out) {
   }
   in->Seek(in->position() - rest.size() + pos);
   return Status::OK();
-}
-
-Status DecodeHuffman(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeHuffmanInto(in, n, out->data());
 }
 
 }  // namespace intcodec

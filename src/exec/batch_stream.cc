@@ -686,11 +686,11 @@ Status BatchStream::EmitBatches(InFlight* fl) {
 
   if (options_.batch_rows == 0 || out_rows <= options_.batch_rows) {
     // One batch covers the group (batch_rows == 0 is the one-batch-
-    // per-row-group contract the materializing wrappers reconstruct
-    // their group arrays from, emitted even at zero rows; a bounded
-    // batch that fits is the same thing): hand the columns over
-    // without re-copying. Exception: bounded streams drop empty
-    // groups — only the unbounded wrapper contract needs them.
+    // per-row-group contract Collect() builds its group entries from,
+    // emitted even at zero rows; a bounded batch that fits is the same
+    // thing): hand the columns over without re-copying. Exception:
+    // bounded streams drop empty groups — only the unbounded contract
+    // needs them.
     if (options_.batch_rows != 0 && out_rows == 0) return Status::OK();
     RowBatch batch;
     batch.group = fl->unit->global_group;

@@ -23,10 +23,10 @@
 //            zone maps are absent (version-1 footers) or imprecise.
 //
 // With no filters and batch_rows == 0 the stream emits exactly one
-// batch per row group, each the untouched decode of that group — the
-// legacy materializing front doors (exec::ScanBuilder,
-// dataset::DatasetScanBuilder) drain exactly that stream and are
-// byte-identical to their pre-streaming behavior at any thread count.
+// batch per row group, each the untouched decode of that group —
+// byte-identical to the serial TableReader::ReadProjection at any
+// thread count. ScanStreamBuilder::Collect() (core/scan.h) drains it
+// into memory.
 
 #pragma once
 
@@ -129,8 +129,8 @@ struct BatchStreamOptions {
   /// groups with no in-place deletes (positional page addressing);
   /// other groups silently take the full-fetch path.
   bool late_materialize = false;
-  /// Max rows per emitted batch; 0 = one batch per row group (the
-  /// materializing wrappers rely on this 1:1 mapping).
+  /// Max rows per emitted batch; 0 = one batch per row group
+  /// (Collect() relies on this 1:1 mapping).
   uint64_t batch_rows = 0;
   /// Worker threads when no external pool is given (<= 1 streams
   /// serially on the consumer thread).
@@ -260,8 +260,8 @@ class BatchStream {
   std::unique_ptr<TaskGroup> tasks_;
 };
 
-/// \brief Spec for a streaming scan — the superset of the legacy
-/// ScanSpec / DatasetScanSpec shapes plus filters and batch sizing.
+/// \brief Spec for a streaming scan over a file or a dataset: projection,
+/// filters, row-group range, batch sizing, and execution resources.
 struct ScanStreamSpec {
   /// Leaf columns to project, by name (resolved against the footer) or
   /// by index (takes precedence). Both empty = every leaf.

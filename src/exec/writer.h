@@ -1,6 +1,5 @@
 // ParallelTableWriter / WriteBuilder: the parallel write execution
-// layer over TableWriter's stage → encode → commit split — the
-// write-side twin of exec/scanner.h.
+// layer over TableWriter's stage → encode → commit split.
 //
 // Each appended row group is staged on the calling thread (pure
 // metadata + quality-sort work), then its page-encode tasks fan out
@@ -11,28 +10,26 @@
 // TableWriter at any thread count; with threads <= 1 and no pool the
 // tasks run inline and the writer literally is the serial path.
 //
-// A bounded window of row groups may be staged-or-encoding at once
-// (encode of group k+1..k+W overlaps commit of group k); Finish()
-// drains the window and writes the footer.
+// GroupEncodeWindow holds the row groups that are staged-or-encoding
+// at once: 2 × encode workers, so encode of group k+1..k+W overlaps
+// commit of group k. ParallelTableWriter and the sharded
+// ShardedTableWriter (dataset/sharded_writer.h) both run on it, each
+// supplying its own commit step.
 //
 // Fluent entry point:
 //
 //   auto writer = WriteBuilder(schema, file)
 //                     .RowsPerPage(4096)
 //                     .Threads(8)                // encode workers
-//                     .MaxPendingGroups(4)       // groups in flight
 //                     .Build();
 //   (*writer)->WriteRowGroup(std::move(batch));  // any number of times
 //   (*writer)->Finish();
-//
-// For multi-file (sharded) parallel writes see
-// dataset/sharded_writer.h's ShardedWriteBuilder, which routes every
-// shard's encode tasks through ONE shared pool.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,23 +41,71 @@
 
 namespace bullion {
 
-/// Fans the encode tasks of one staged row group out on `tasks` — the
-/// shared-pool write entry point, the write-side twin of the streaming
-/// scan's per-group read fan-out (exec/batch_stream.cc). Multiple
-/// calls (for different groups, or different writers/shards) may
-/// target one TaskGroup or pool, so a whole sharded ingest shares a
-/// single thread pool.
+/// \brief The write-side in-flight window: row groups whose page
+/// encodes run on a pool while earlier groups commit in order.
 ///
-/// `staged` is shared because the submitted tasks outlive this call's
-/// frame. `pages` is resized to one slot per task and must stay valid
-/// (and un-moved) until `tasks->Wait()` returns; distinct tasks write
-/// distinct slots, so the encoded output is identical to encoding
-/// serially regardless of scheduling.
-/// `report` (optional) receives one work_hist sample + work_ns per page
-/// encode, recorded on the worker that ran it.
-Status SubmitGroupEncode(std::shared_ptr<const StagedRowGroup> staged,
-                         TaskGroup* tasks, std::vector<EncodedPage>* pages,
-                         obs::PipelineReport* report = nullptr);
+/// Submit() fans a staged group's page encodes out and then commits,
+/// oldest first, every group beyond the window of 2 × encode workers.
+/// The owner's commit step runs on the producer thread in submission
+/// order, so the bytes never depend on scheduling. The
+/// first failure (a commit's, or one recorded with Fail()) is sticky:
+/// later Submit() calls return it and Finish() joins the stragglers
+/// without committing them.
+///
+/// Not thread-safe itself: one producer thread drives it.
+class GroupEncodeWindow {
+ public:
+  /// Commits one encoded group: pages[i] is the encoding of
+  /// staged.tasks[i].
+  using Commit = std::function<Status(const StagedRowGroup& staged,
+                                      const std::vector<EncodedPage>& pages)>;
+
+  /// Encodes on `pool`; if it is null and `threads` > 1, a private pool
+  /// of `threads` workers lives as long as the window. With neither,
+  /// encodes run inline in Submit(). `commit` receives every group in
+  /// submission order. `report` (optional) receives one work_hist
+  /// sample + work_ns per page encode, joining the window head →
+  /// stall_ns, commits → emit_ns/units/rows.
+  GroupEncodeWindow(size_t threads, ThreadPool* pool, Commit commit,
+                    obs::PipelineReport* report = nullptr);
+
+  /// Encode tasks hold pointers into the pending groups, and the commit
+  /// step usually captures its writer.
+  GroupEncodeWindow(const GroupEncodeWindow&) = delete;
+  GroupEncodeWindow& operator=(const GroupEncodeWindow&) = delete;
+
+  /// Sticky first failure (OK until something failed).
+  const Status& status() const { return error_; }
+  /// Records `st` as the sticky failure unless one is already set.
+  void Fail(Status st);
+
+  /// Fans `staged`'s page encodes out, then commits the groups that
+  /// fall out of the window.
+  Status Submit(StagedRowGroup staged);
+
+  /// Commits every pending group in order (after a failure, joins them
+  /// without committing) and returns the sticky status.
+  Status Finish();
+
+ private:
+  struct PendingGroup {
+    std::shared_ptr<const StagedRowGroup> staged;
+    std::vector<EncodedPage> pages;
+    std::unique_ptr<TaskGroup> tasks;
+  };
+
+  /// Joins the oldest pending group's encodes and commits it.
+  Status DrainOne();
+
+  std::unique_ptr<ThreadPool> owned_pool_;
+  ThreadPool* pool_;
+  size_t max_pending_;
+  Commit commit_;
+  obs::PipelineReport* report_;
+  /// Declared after the pool: destroyed first, joining any stragglers.
+  std::deque<PendingGroup> pending_;
+  Status error_;
+};
 
 /// \brief Pipelined parallel writer over one Bullion file.
 ///
@@ -68,19 +113,14 @@ Status SubmitGroupEncode(std::shared_ptr<const StagedRowGroup> staged,
 /// calls Finish(); the parallelism is internal (page encoding).
 class ParallelTableWriter {
  public:
-  /// Writes through `file` with `options`. If `pool` is null and
-  /// `threads` > 1, a private pool of `threads` workers is spun up for
-  /// the writer's lifetime; a shared `pool` overrides `threads`.
-  /// `max_pending_groups` bounds row groups staged-or-encoding but not
-  /// yet committed (0 = 2 × encode workers) — the write-side in-flight
-  /// window, which also bounds encoded-group memory.
-  /// `report` (optional) records the write pipeline's stage timing:
-  /// stage → prepare_ns, page encodes → work_ns/work_hist, commit →
-  /// emit_ns, joining the window head → stall_ns, construction →
-  /// Finish() → wall_ns.
+  /// Writes through `file` with `options`, encoding on `pool` or, if it
+  /// is null and `threads` > 1, on a writer-private pool of `threads`
+  /// workers. `report` (optional) records the write pipeline's stage
+  /// timing: stage → prepare_ns, page encodes → work_ns/work_hist,
+  /// commit → emit_ns, joining the window head → stall_ns,
+  /// construction → Finish() → wall_ns.
   ParallelTableWriter(Schema schema, WritableFile* file,
                       WriterOptions options, size_t threads = 1,
-                      size_t max_pending_groups = 0,
                       ThreadPool* pool = nullptr,
                       obs::PipelineReport* report = nullptr);
 
@@ -101,8 +141,6 @@ class ParallelTableWriter {
 
   /// Rows committed so far (pending groups not included).
   uint64_t num_rows() const { return writer_.num_rows(); }
-  /// Row groups currently staged or encoding, not yet committed.
-  size_t pending_groups() const { return pending_.size(); }
   /// Per-column zone maps aggregated over the committed groups (see
   /// TableWriter::AggregatedColumnStats).
   std::vector<ZoneMap> AggregatedColumnStats() const {
@@ -115,21 +153,8 @@ class ParallelTableWriter {
   }
 
  private:
-  struct PendingGroup {
-    std::shared_ptr<const StagedRowGroup> staged;
-    std::vector<EncodedPage> pages;
-    std::unique_ptr<TaskGroup> tasks;
-  };
-
-  /// Joins the oldest pending group's encodes and commits it.
-  Status DrainOne();
-
   TableWriter writer_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;
-  size_t max_pending_;
-  std::deque<PendingGroup> pending_;
-  Status error_;  // sticky first failure
+  GroupEncodeWindow window_;
   bool finished_ = false;
   obs::PipelineReport* report_;
   uint64_t start_ns_ = 0;  // construction (report wall time)
@@ -156,12 +181,6 @@ class WriteBuilder {
     threads_ = n;
     return *this;
   }
-  /// Row groups allowed in flight (staged/encoding, uncommitted);
-  /// 0 = 2 × encode workers.
-  WriteBuilder& MaxPendingGroups(size_t n) {
-    max_pending_ = n;
-    return *this;
-  }
   /// Run encodes on a shared pool instead of a writer-private one.
   WriteBuilder& Pool(ThreadPool* pool) {
     pool_ = pool;
@@ -180,11 +199,13 @@ class WriteBuilder {
     return *this;
   }
 
-  /// Validates the options and constructs the writer.
+  /// Validates the options and the deletable leaves, then constructs
+  /// the writer.
   Result<std::unique_ptr<ParallelTableWriter>> Build() const {
     BULLION_RETURN_NOT_OK(ValidateWriterOptions(options_, schema_));
+    BULLION_RETURN_NOT_OK(ValidateDeletableLeaves(options_, schema_));
     return std::make_unique<ParallelTableWriter>(
-        schema_, file_, options_, threads_, max_pending_, pool_, report_);
+        schema_, file_, options_, threads_, pool_, report_);
   }
 
  private:
@@ -192,7 +213,6 @@ class WriteBuilder {
   WritableFile* file_;
   WriterOptions options_;
   size_t threads_ = 1;
-  size_t max_pending_ = 0;
   ThreadPool* pool_ = nullptr;
   obs::PipelineReport* report_ = nullptr;
 };

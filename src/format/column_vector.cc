@@ -191,7 +191,7 @@ void ColumnVector::AppendRowFrom(const ColumnVector& src, int64_t src_row) {
 
 void ColumnVector::AppendAllFrom(const ColumnVector& src) {
   // Bulk-append the value and offset arrays directly: concatenating
-  // per-group decodes must not re-copy row by row (ReadFullColumn on a
+  // per-group decodes must not re-copy row by row (ConcatColumn on a
   // large column would double its allocations otherwise).
   const size_t rows_before = num_rows();
   if (!src.validity_.empty()) {

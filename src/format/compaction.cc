@@ -40,8 +40,7 @@ Result<CompactionReport> CompactTable(TableReader* reader,
   // would corrupt the rewrite long after the misconfiguration; fail
   // like every other writer entry point does.
   BULLION_RETURN_NOT_OK(ValidateWriterOptions(wopts, schema));
-  ParallelTableWriter writer(schema, dest, wopts, threads,
-                             /*max_pending_groups=*/0, pool);
+  ParallelTableWriter writer(schema, dest, wopts, threads, pool);
 
   std::vector<uint32_t> all_columns(reader->num_columns());
   std::iota(all_columns.begin(), all_columns.end(), 0);

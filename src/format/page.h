@@ -51,13 +51,13 @@ struct EncodedPage {
   /// Computed by the encode stage — which runs in parallel — and merged
   /// per chunk at commit into the footer's statistics section; min/max
   /// merging is schedule-independent, so the footer stays deterministic.
-  ZoneMap zone;
+  ZoneMap zone = {};
   /// Bloom key hashes of the page's rows, in row order (empty when the
   /// writer has filters disabled or the column is not Bloom-eligible;
   /// serve/bloom.h). Like `zone`, computed by the parallel encode stage
   /// and concatenated in page order at commit, so the chunk filters —
   /// and the file bytes — are independent of encode scheduling.
-  std::vector<uint64_t> key_hashes;
+  std::vector<uint64_t> key_hashes = {};
 };
 
 /// Encodes rows [row_begin, row_end) of `col` into one page.

@@ -76,6 +76,22 @@ Status ValidateWriterOptions(const WriterOptions& options,
   return Status::OK();
 }
 
+Status ValidateDeletableLeaves(const WriterOptions& options,
+                               const Schema& schema) {
+  if (options.compliance != ComplianceLevel::kLevel2) return Status::OK();
+  // Level-2 deletes mask values in place, and only int-domain pages
+  // are restricted to maskable encodings; any other deletable leaf
+  // would be flagged in the footer yet fail at delete time.
+  for (const LeafColumn& leaf : schema.leaves()) {
+    if (leaf.deletable && DomainOf(leaf.physical) != ValueDomain::kInt) {
+      return Status::InvalidArgument(
+          "deletable leaf '" + leaf.name +
+          "' is not int-domain; level-2 in-place deletion needs int leaves");
+    }
+  }
+  return Status::OK();
+}
+
 Result<StagedRowGroup> StageRowGroup(
     const Schema& schema, const WriterOptions& options,
     std::shared_ptr<const std::vector<ColumnVector>> columns) {

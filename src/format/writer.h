@@ -102,6 +102,17 @@ struct WriterOptions {
 Status ValidateWriterOptions(const WriterOptions& options,
                              const Schema& schema);
 
+/// Checks that every deletable leaf can take the deletes the compliance
+/// level promises: level-2 deletes mask values in place, and only
+/// int-domain pages are restricted to maskable encodings, so at kLevel2
+/// a deletable leaf must be int-domain. The builders that write new
+/// data from a caller's schema (WriteBuilder, ShardedWriteBuilder and
+/// the sharded writer) run it. TableWriter and CompactTable do not: a
+/// compaction rewrites the schema an existing footer records, and a
+/// file written before this check must stay compactable.
+Status ValidateDeletableLeaves(const WriterOptions& options,
+                               const Schema& schema);
+
 /// \brief One unit of the parallel encode stage: rows
 /// [row_begin, row_end) of leaf `column`, encoded as a single page.
 struct PageEncodeTask {

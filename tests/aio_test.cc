@@ -477,7 +477,7 @@ std::vector<RowBatch> Drain(BatchStream* stream) {
   return batches;
 }
 
-TEST(AioScan, SyncTierIsByteIdenticalToAsyncTiersOnFileScans) {
+TEST(AioScan, SyncTierIsByteIdenticalToAsyncTiersOnFileStreams) {
   FileFixture fx(600, 50);
   AsyncIoService sync(AioTier::kSync);
   auto truth_stream = Scan(fx.reader.get()).Threads(1).Aio(&sync).Stream();
@@ -502,7 +502,7 @@ TEST(AioScan, SyncTierIsByteIdenticalToAsyncTiersOnFileScans) {
   }
 }
 
-TEST(AioScan, SyncTierIsByteIdenticalToAsyncTiersOnDatasetScans) {
+TEST(AioScan, SyncTierIsByteIdenticalToAsyncTiersOnDatasetStreams) {
   DatasetFixture fx(600, 50, 200);
   ASSERT_GT(fx.manifest.num_shards(), 1u);
   AsyncIoService sync(AioTier::kSync);

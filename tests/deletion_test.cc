@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "dataset/sharded_writer.h"
+#include "exec/writer.h"
 #include "format/column_vector.h"
+#include "format/compaction.h"
 #include "format/deletion.h"
 #include "format/page.h"
 #include "format/reader.h"
@@ -195,6 +198,104 @@ TEST(Deletion, Level0Rejected) {
   Fixture fx("runs");
   ASSERT_TRUE(fx.Write().ok());
   EXPECT_FALSE(fx.Delete({1}, ComplianceLevel::kLevel0).ok());
+}
+
+Schema DeletableIdAndPayload(PhysicalType payload) {
+  return Schema({{"id", DataType::Primitive(PhysicalType::kInt64),
+                  LogicalType::kPlain, true},
+                 {"payload", DataType::Primitive(payload),
+                  LogicalType::kPlain, true}});
+}
+
+TEST(Deletion, Level2RejectsDeletableNonIntLeavesAtWriteTime) {
+  // Only int-domain pages are restricted to maskable encodings, so a
+  // deletable float or binary leaf must fail when the writer is set up,
+  // not later at DeleteRows.
+  for (PhysicalType physical : {PhysicalType::kFloat32,
+                                PhysicalType::kFloat64,
+                                PhysicalType::kBinary}) {
+    Schema schema = DeletableIdAndPayload(physical);
+    WriterOptions level2;
+    Status st = ValidateDeletableLeaves(level2, schema);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("'payload'"), std::string::npos)
+        << st.ToString();
+
+    InMemoryFileSystem fs;
+    auto f = fs.NewWritableFile("t");
+    ASSERT_TRUE(f.ok());
+    auto writer = WriteBuilder(schema, f->get()).Build();
+    EXPECT_TRUE(writer.status().IsInvalidArgument());
+    auto opener = [&](const std::string& name) {
+      return fs.NewWritableFile(name);
+    };
+    auto sharded = ShardedWriteBuilder(schema, opener).Build();
+    EXPECT_TRUE(sharded.status().IsInvalidArgument());
+    ShardedTableWriter direct(schema, ShardedWriterOptions{}, opener);
+    EXPECT_TRUE(direct.Finish().status().IsInvalidArgument());
+
+    // Below level 2 nothing is masked in place, so the flag is fine.
+    WriterOptions level1;
+    level1.compliance = ComplianceLevel::kLevel1;
+    EXPECT_TRUE(ValidateDeletableLeaves(level1, schema).ok());
+    EXPECT_TRUE(WriteBuilder(schema, f->get()).Options(level1).Build().ok());
+  }
+  // Deletable int leaves, scalar and list, stay valid at level 2 (the
+  // DeletionByKind tests write and mask them).
+  EXPECT_TRUE(
+      ValidateDeletableLeaves(WriterOptions{}, Fixture("runs").schema).ok());
+}
+
+TEST(Deletion, Level2FileWithDeletableFloatLeafStaysCompactable) {
+  // TableWriter does not run the deletable-leaf check, so it writes the
+  // bytes a writer without it produced: a level-2 file whose float leaf
+  // is flagged deletable. Such files must still take level-1 deletes and
+  // compact, since compaction is how their deleted rows are reclaimed.
+  Schema schema = DeletableIdAndPayload(PhysicalType::kFloat64);
+  std::vector<ColumnVector> data;
+  for (const LeafColumn& leaf : schema.leaves()) {
+    data.push_back(ColumnVector::ForLeaf(leaf));
+  }
+  for (int64_t r = 0; r < 1000; ++r) {
+    data[0].AppendInt(r);
+    data[1].AppendReal(static_cast<double>(r) * 0.5);
+  }
+  InMemoryFileSystem fs;
+  {
+    auto f = fs.NewWritableFile("t");
+    ASSERT_TRUE(f.ok());
+    WriterOptions wopts;
+    wopts.rows_per_page = 128;
+    TableWriter writer(schema, f->get(), wopts);
+    ASSERT_TRUE(writer.WriteRowGroup(data).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  {
+    auto rf = fs.NewReadableFile("t");
+    auto uf = fs.OpenForUpdate("t");
+    ASSERT_TRUE(rf.ok() && uf.ok());
+    auto reader = TableReader::Open(std::move(*rf));
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ((*reader)->footer().compliance(), ComplianceLevel::kLevel2);
+    auto rf2 = fs.NewReadableFile("t");
+    DeleteExecutor exec(rf2->get(), uf->get(), (*reader)->footer());
+    std::vector<uint64_t> rows = {3, 500, 999};
+    ASSERT_TRUE(exec.DeleteRows(rows, ComplianceLevel::kLevel1).ok());
+  }
+  auto reader = TableReader::Open(*fs.NewReadableFile("t"));
+  ASSERT_TRUE(reader.ok());
+  auto dest = fs.NewWritableFile("compacted");
+  ASSERT_TRUE(dest.ok());
+  auto report = CompactTable(reader->get(), dest->get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->rows_before, 1000u);
+  EXPECT_EQ(report->rows_after, 997u);
+
+  auto compacted = TableReader::Open(*fs.NewReadableFile("compacted"));
+  ASSERT_TRUE(compacted.ok());
+  EXPECT_EQ((*compacted)->num_rows(), 997u);
+  EXPECT_EQ((*compacted)->footer().compliance(), ComplianceLevel::kLevel2);
+  EXPECT_EQ((*compacted)->footer().ReconstructSchema(), schema);
 }
 
 TEST(Deletion, OutOfRangeRowRejected) {

@@ -574,6 +574,31 @@ TEST(Cascade, AllowlistRestrictsSelection) {
   EXPECT_EQ(decision.chosen, EncodingType::kTrivial);
 }
 
+TEST(Cascade, PinnedEncodingsWithChildStreamsStopAtTheDepthFloor) {
+  // Each of these carries child blocks; pinned as the only allowed
+  // encoding (on data its stats gate admits), the children below the
+  // depth floor must fall back to a childless codec instead of
+  // recursing forever.
+  const std::pair<EncodingType, const char*> cases[] = {
+      {EncodingType::kDictionary, "low_cardinality"},
+      {EncodingType::kRle, "runs"},
+      {EncodingType::kDelta, "sorted"},
+      {EncodingType::kMainlyConstant, "mainly_constant"}};
+  for (const auto& [pinned, kind] : cases) {
+    std::vector<int64_t> data = GenIntData(kind, 4096, 14);
+    CascadeOptions opts;
+    opts.allowed = {pinned};
+    SelectionDecision decision;
+    auto res = EncodeInt64ColumnWithDecision(data, opts, &decision);
+    ASSERT_TRUE(res.ok()) << EncodingTypeName(pinned) << ": "
+                          << res.status().ToString();
+    EXPECT_EQ(decision.chosen, pinned) << EncodingTypeName(pinned);
+    std::vector<int64_t> decoded;
+    ASSERT_TRUE(DecodeInt64Column(res->AsSlice(), &decoded).ok());
+    EXPECT_EQ(decoded, data) << EncodingTypeName(pinned);
+  }
+}
+
 TEST(Cascade, DecodeWeightSteersAwayFromExpensiveCodecs) {
   std::vector<int64_t> data = GenIntData("low_cardinality", 4000, 12);
   CascadeOptions size_only;

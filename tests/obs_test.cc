@@ -175,8 +175,12 @@ TEST(LatencyHistogram, BucketInvariantsAcrossRange) {
     uint64_t w = LatencyHistogram::BucketWidth(b);
     EXPECT_LE(lo, v) << "v=" << v;
     // lo + w can overflow only for the last bucket of the top octave.
-    if (lo + w > lo) EXPECT_LT(v, lo + w) << "v=" << v;
-    if (v >= prev_value) EXPECT_GE(b, prev_bucket) << "v=" << v;
+    if (lo + w > lo) {
+      EXPECT_LT(v, lo + w) << "v=" << v;
+    }
+    if (v >= prev_value) {
+      EXPECT_GE(b, prev_bucket) << "v=" << v;
+    }
     prev_bucket = b;
     prev_value = v;
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -65,6 +66,19 @@ std::vector<uint8_t> FileBytes(const InMemoryFileSystem& fs,
   Buffer buf;
   EXPECT_TRUE((*file)->Read(0, *size, &buf).ok());
   return std::vector<uint8_t>(buf.data(), buf.data() + buf.size());
+}
+
+// The serial reference: TableWriter::WriteRowGroup per group, encoding
+// and committing each page in order on the calling thread.
+void WriteSerial(InMemoryFileSystem* fs, const std::string& name,
+                 const Schema& schema,
+                 const std::vector<std::vector<ColumnVector>>& groups,
+                 const WriterOptions& wopts) {
+  auto f = fs->NewWritableFile(name);
+  ASSERT_TRUE(f.ok());
+  TableWriter writer(schema, f->get(), wopts);
+  for (const auto& g : groups) ASSERT_TRUE(writer.WriteRowGroup(g).ok());
+  ASSERT_TRUE(writer.Finish().ok());
 }
 
 // ----------------------------------------------------------- validation
@@ -193,21 +207,18 @@ TEST(StageRowGroup, RejectsEmptyAndRaggedBatches) {
 // ------------------------------------------------- single-file identity
 
 TEST(ParallelWrite, ByteIdenticalToSerialAtEveryThreadCount) {
+  // 20 groups outnumber the in-flight window (2 × workers) at every
+  // thread count, so each run commits groups while later ones encode.
   Schema schema = MakeMixedSchema();
   std::vector<std::vector<ColumnVector>> groups;
-  for (size_t g = 0; g < 6; ++g) {
-    groups.push_back(MakeMixedData(schema, 400, 100 + g));
+  for (size_t g = 0; g < 20; ++g) {
+    groups.push_back(MakeMixedData(schema, 120, 100 + g));
   }
   WriterOptions wopts;
   wopts.rows_per_page = 64;
 
   InMemoryFileSystem fs;
-  {
-    auto f = fs.NewWritableFile("serial");
-    TableWriter writer(schema, f->get(), wopts);
-    for (const auto& g : groups) ASSERT_TRUE(writer.WriteRowGroup(g).ok());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
+  WriteSerial(&fs, "serial", schema, groups, wopts);
   std::vector<uint8_t> truth = FileBytes(fs, "serial");
 
   for (size_t threads : {1, 2, 4, 8}) {
@@ -216,7 +227,6 @@ TEST(ParallelWrite, ByteIdenticalToSerialAtEveryThreadCount) {
     auto writer = WriteBuilder(schema, f->get())
                       .Options(wopts)
                       .Threads(threads)
-                      .MaxPendingGroups(3)
                       .Build();
     ASSERT_TRUE(writer.ok());
     for (const auto& g : groups) {
@@ -240,8 +250,7 @@ TEST(ParallelWrite, SingleRowGroupsAndTinyPages) {
   wopts.rows_per_page = 1;
 
   InMemoryFileSystem fs;
-  auto fserial = fs.NewWritableFile("serial");
-  ASSERT_TRUE(WriteTableFile(fserial->get(), schema, groups, wopts).ok());
+  WriteSerial(&fs, "serial", schema, groups, wopts);
   std::vector<uint8_t> truth = FileBytes(fs, "serial");
 
   auto fpar = fs.NewWritableFile("par");
@@ -282,8 +291,7 @@ TEST(ParallelWrite, QualitySortAndColumnOrderIdentical) {
   wopts.quality_sort_column = 1;  // "score"
 
   InMemoryFileSystem fs;
-  auto fserial = fs.NewWritableFile("serial");
-  ASSERT_TRUE(WriteTableFile(fserial->get(), schema, groups, wopts).ok());
+  WriteSerial(&fs, "serial", schema, groups, wopts);
   auto fpar = fs.NewWritableFile("par");
   ASSERT_TRUE(
       WriteTableFile(fpar->get(), schema, groups, wopts, /*threads=*/8).ok());
@@ -302,8 +310,7 @@ TEST(ParallelWrite, SharedPoolAcrossWriters) {
     groups.push_back(MakeMixedData(schema, 200, 40 + g));
   }
   InMemoryFileSystem fs;
-  auto fserial = fs.NewWritableFile("serial");
-  ASSERT_TRUE(WriteTableFile(fserial->get(), schema, groups, {}).ok());
+  WriteSerial(&fs, "serial", schema, groups, {});
   std::vector<uint8_t> truth = FileBytes(fs, "serial");
 
   ThreadPool pool(4);
@@ -377,6 +384,33 @@ TEST(ShardedWrite, ByteIdenticalAcrossThreadCounts) {
   ShardManifest truth = write(&serial_fs, 1);
   ASSERT_EQ(truth.num_shards(), 4u);
 
+  // Each shard file equals the serial TableWriter run over that shard's
+  // row groups.
+  WriterOptions wopts;
+  wopts.rows_per_page = 32;
+  InMemoryFileSystem oracle_fs;
+  int64_t row = 0;
+  for (size_t s = 0; s < truth.num_shards(); ++s) {
+    std::vector<std::vector<ColumnVector>> groups;
+    const int64_t shard_end =
+        row + static_cast<int64_t>(truth.shard(s).num_rows);
+    for (; row < shard_end; row += 100) {
+      std::vector<ColumnVector> group;
+      for (const ColumnVector& c : all) {
+        group.push_back(ColumnVector(c.physical(), c.list_depth()));
+        for (int64_t r = row; r < std::min<int64_t>(row + 100, shard_end);
+             ++r) {
+          group.back().AppendRowFrom(c, r);
+        }
+      }
+      groups.push_back(std::move(group));
+    }
+    WriteSerial(&oracle_fs, truth.shard(s).name, schema, groups, wopts);
+    EXPECT_EQ(FileBytes(serial_fs, truth.shard(s).name),
+              FileBytes(oracle_fs, truth.shard(s).name))
+        << "shard=" << s;
+  }
+
   for (size_t threads : {2, 4, 8}) {
     InMemoryFileSystem fs;
     ShardManifest manifest = write(&fs, threads);
@@ -413,7 +447,6 @@ TEST(ShardedWrite, ManyShardsEncodeConcurrentlyOnOnePool) {
                       .RowsPerShard(50)  // 12 shards
                       .RowsPerGroup(50)
                       .RowsPerPage(16)
-                      .MaxPendingGroups(8)
                       .Pool(p)
                       .Build();
     EXPECT_TRUE(writer.ok());
@@ -437,7 +470,7 @@ TEST(ShardedWrite, ManyShardsEncodeConcurrentlyOnOnePool) {
     return par_fs.NewReadableFile(n);
   });
   ASSERT_TRUE(ds.ok());
-  auto scan = DatasetScanBuilder(ds->get()).Threads(4).Scan();
+  auto scan = Scan(ds->get()).Threads(4).Collect();
   ASSERT_TRUE(scan.ok());
   for (size_t c = 0; c < all.size(); ++c) {
     EXPECT_EQ(*scan->ConcatColumn(c), all[c]) << "column " << c;
@@ -511,8 +544,7 @@ TEST(WriteStats, CountsPagesBytesAndFlushes) {
   WriterOptions wopts;
   wopts.rows_per_page = 32;
   wopts.stats = &serial_fs.stats();
-  auto fserial = serial_fs.NewWritableFile("t");
-  ASSERT_TRUE(WriteTableFile(fserial->get(), schema, groups, wopts).ok());
+  WriteSerial(&serial_fs, "t", schema, groups, wopts);
   // ceil(100/32) = 4 pages per column per group, 5 leaves, 3 groups.
   EXPECT_EQ(serial_fs.stats().pages_encoded.load(), 4u * 5u * 3u);
   EXPECT_GE(serial_fs.stats().flush_calls.load(), 1u);

@@ -1,7 +1,8 @@
 // Unified streaming scan tests: the bullion::Scan front door over both
 // source kinds, zone-map predicate pushdown, and the redesign's two
-// headline claims — (1) draining the stream is byte-identical to the
-// legacy materializing scans at any thread count, and (2) a selective
+// headline claims — (1) draining the stream (or Collect()) is
+// byte-identical to the serial TableReader reads at any thread count
+// (per-shard serial reads concatenated for datasets), and (2) a selective
 // predicate provably skips preads (groups_pruned / shards_pruned > 0
 // with read_ops below the unfiltered scan) while residual evaluation
 // keeps results exact, including on version-1 footers with no stats.
@@ -116,6 +117,35 @@ std::vector<RowBatch> Drain(BatchStream* stream) {
   return batches;
 }
 
+/// The serial oracle: ReadProjection of every group of every reader,
+/// in order, over all leaves.
+std::vector<std::vector<ColumnVector>> SerialGroups(
+    const std::vector<const TableReader*>& readers) {
+  std::vector<std::vector<ColumnVector>> groups;
+  for (const TableReader* r : readers) {
+    std::vector<uint32_t> all(r->num_columns());
+    for (uint32_t c = 0; c < all.size(); ++c) all[c] = c;
+    for (uint32_t g = 0; g < r->num_row_groups(); ++g) {
+      groups.emplace_back();
+      EXPECT_TRUE(r->ReadProjection(g, all, {}, &groups.back()).ok());
+    }
+  }
+  return groups;
+}
+
+std::vector<std::vector<ColumnVector>> SerialGroups(const TableReader& r) {
+  return SerialGroups(std::vector<const TableReader*>{&r});
+}
+
+std::vector<std::vector<ColumnVector>> SerialGroups(
+    const ShardedTableReader& ds) {
+  std::vector<const TableReader*> shards;
+  for (size_t s = 0; s < ds.num_shards(); ++s) {
+    shards.push_back(ds.shard_reader(s));
+  }
+  return SerialGroups(shards);
+}
+
 uint64_t TotalRows(const std::vector<RowBatch>& batches) {
   uint64_t rows = 0;
   for (const RowBatch& b : batches) rows += b.num_rows();
@@ -124,45 +154,81 @@ uint64_t TotalRows(const std::vector<RowBatch>& batches) {
 
 // ------------------------------------------------- byte-identity claims
 
-TEST(ScanStream, SingleFileStreamMatchesLegacyScanAtAnyThreadCount) {
+TEST(ScanStream, SingleFileStreamMatchesSerialReadsAtAnyThreadCount) {
   FileFixture fx(600, 50);
-  auto truth = ScanBuilder(fx.reader.get()).Threads(1).Scan();
-  ASSERT_TRUE(truth.ok());
+  const auto truth = SerialGroups(*fx.reader);
   for (size_t threads : {1, 2, 4, 8}) {
     auto stream = Scan(fx.reader.get()).Threads(threads).Stream();
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-    EXPECT_EQ((*stream)->columns(), truth->columns);
+    EXPECT_EQ((*stream)->columns().size(), fx.schema.num_leaves());
     std::vector<RowBatch> batches = Drain(stream->get());
-    ASSERT_EQ(batches.size(), truth->groups.size()) << threads;
+    ASSERT_EQ(batches.size(), truth.size()) << threads;
     for (size_t g = 0; g < batches.size(); ++g) {
-      EXPECT_EQ(batches[g].group, truth->group_begin + g);
-      EXPECT_EQ(batches[g].columns, truth->groups[g])
+      EXPECT_EQ(batches[g].group, g);
+      EXPECT_EQ(batches[g].columns, truth[g])
           << "threads=" << threads << " group " << g;
     }
+    // Collect() drains the same stream: one entry per row group.
+    auto collected = Scan(fx.reader.get()).Threads(threads).Collect();
+    ASSERT_TRUE(collected.ok());
+    EXPECT_EQ(collected->group_begin, 0u);
+    EXPECT_EQ(collected->groups, truth) << "threads=" << threads;
   }
 }
 
-TEST(ScanStream, DatasetStreamMatchesLegacyScanAtAnyThreadCount) {
+TEST(ScanStream, DatasetStreamMatchesSerialReadsAtAnyThreadCount) {
   DatasetFixture fx(600, 50, 200);
   ASSERT_GT(fx.manifest.num_shards(), 1u);
-  auto truth = DatasetScanBuilder(fx.reader.get()).Threads(1).Scan();
-  ASSERT_TRUE(truth.ok());
+  const auto truth = SerialGroups(*fx.reader);
   for (size_t threads : {1, 2, 4, 8}) {
     auto stream = Scan(fx.reader.get()).Threads(threads).Stream();
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
     std::vector<RowBatch> batches = Drain(stream->get());
-    ASSERT_EQ(batches.size(), truth->groups.size()) << threads;
+    ASSERT_EQ(batches.size(), truth.size()) << threads;
     for (size_t g = 0; g < batches.size(); ++g) {
-      EXPECT_EQ(batches[g].columns, truth->groups[g])
+      EXPECT_EQ(batches[g].columns, truth[g])
           << "threads=" << threads << " group " << g;
     }
+    auto collected = Scan(fx.reader.get()).Threads(threads).Collect();
+    ASSERT_TRUE(collected.ok());
+    EXPECT_EQ(collected->groups, truth) << "threads=" << threads;
   }
+}
+
+TEST(ScanStream, CollectWithFiltersOrBatchRowsHoldsEmittedBatches) {
+  FileFixture fx(600, 50);
+  // BatchRows: each entry is one bounded batch, not one row group.
+  auto bounded = Scan(fx.reader.get())
+                     .Columns({"uid"})
+                     .BatchRows(20)
+                     .Threads(2)
+                     .Collect();
+  ASSERT_TRUE(bounded.ok());
+  EXPECT_EQ(bounded->num_groups(), 36u);  // 12 groups x (20 + 20 + 10)
+  EXPECT_EQ(bounded->num_rows(), 600u);
+  // Filters: pruned groups leave no entry; survivors hold only matches.
+  auto filtered = Scan(fx.reader.get())
+                      .Columns({"uid"})
+                      .Filter("uid", CompareOp::kGe, 530)
+                      .Collect();
+  ASSERT_TRUE(filtered.ok());
+  EXPECT_EQ(filtered->num_groups(), 2u);
+  auto uid = filtered->ConcatColumn(0);
+  ASSERT_TRUE(uid.ok());
+  ASSERT_EQ(uid->num_rows(), 70u);
+  EXPECT_EQ(uid->int_values().front(), 530);
+  EXPECT_EQ(uid->int_values().back(), 599);
 }
 
 TEST(ScanStream, BatchRowsBoundsEveryBatch) {
   FileFixture fx(600, 50);
-  auto full = ReadFullColumn(fx.reader.get(), "uid");
-  ASSERT_TRUE(full.ok());
+  // Serial whole-column read of uid (leaf 0), chunk by chunk.
+  ColumnVector full(PhysicalType::kInt64, 0);
+  for (uint32_t g = 0; g < fx.reader->num_row_groups(); ++g) {
+    ColumnVector chunk;
+    ASSERT_TRUE(fx.reader->ReadColumnChunk(g, 0, {}, &chunk).ok());
+    full.AppendAllFrom(chunk);
+  }
   auto stream =
       Scan(fx.reader.get()).Columns({"uid"}).BatchRows(37).Threads(2).Stream();
   ASSERT_TRUE(stream.ok());
@@ -174,7 +240,7 @@ TEST(ScanStream, BatchRowsBoundsEveryBatch) {
     EXPECT_GT(b.num_rows(), 0u);
     concat.AppendAllFrom(b.columns[0]);
   }
-  EXPECT_EQ(concat, *full);
+  EXPECT_EQ(concat, full);
 }
 
 // ------------------------------------------------- predicate pushdown
@@ -294,10 +360,11 @@ TEST(ScanStream, FooterWithoutStatsPrunesNothingButStaysExact) {
   for (const RowBatch& b : batches) {
     for (int64_t uid : b.columns[0].int_values()) EXPECT_GE(uid, 550);
   }
-  // And the legacy materializing scan over a v1 footer still works.
-  auto legacy = ScanBuilder(fx.reader.get()).Threads(2).Scan();
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->num_rows(), 600u);
+  // And an unfiltered Collect() over a v1 footer still reads it all.
+  auto collected = Scan(fx.reader.get()).Threads(2).Collect();
+  ASSERT_TRUE(collected.ok());
+  EXPECT_EQ(collected->num_rows(), 600u);
+  EXPECT_EQ(collected->groups, SerialGroups(*fx.reader));
 }
 
 TEST(ScanStream, PruningNeverLosesRowsAcrossSelectivities) {
@@ -356,22 +423,22 @@ TEST(ScanStream, PredicateOnUnsupportedColumnTypeIsRejected) {
   }
 }
 
-TEST(ScanStream, ProjectionValidationMatchesLegacyFrontDoors) {
+TEST(ScanStream, ProjectionValidationMatchesAcrossStreamAndCollect) {
   FileFixture fx(100, 50);
   DatasetFixture ds(100, 50, 100);
   // Unknown names: clear NotFound from every front door.
   EXPECT_TRUE(Scan(fx.reader.get()).Columns({"nope"}).Stream().status()
                   .IsNotFound());
-  EXPECT_TRUE(ScanBuilder(fx.reader.get()).Columns({"nope"}).Scan().status()
+  EXPECT_TRUE(Scan(fx.reader.get()).Columns({"nope"}).Collect().status()
                   .IsNotFound());
-  EXPECT_TRUE(DatasetScanBuilder(ds.reader.get()).Columns({"nope"}).Scan()
+  EXPECT_TRUE(Scan(ds.reader.get()).Columns({"nope"}).Collect()
                   .status().IsNotFound());
   // Out-of-range indices: clear InvalidArgument everywhere.
   EXPECT_TRUE(Scan(fx.reader.get()).ColumnIndices({99}).Stream().status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(ScanBuilder(fx.reader.get()).ColumnIndices({99}).Scan().status()
+  EXPECT_TRUE(Scan(fx.reader.get()).ColumnIndices({99}).Collect().status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(DatasetScanBuilder(ds.reader.get()).ColumnIndices({99}).Scan()
+  EXPECT_TRUE(Scan(ds.reader.get()).ColumnIndices({99}).Collect()
                   .status().IsInvalidArgument());
   // Inverted row-group ranges.
   EXPECT_TRUE(Scan(fx.reader.get()).RowGroups(2, 1).Stream().status()
@@ -435,8 +502,7 @@ TEST(ScanStream, ConcurrentStreamsShareOnePoolAndCache) {
   DatasetFixture fx(600, 50, 200);
   DecodedChunkCache cache(64 << 20, &fx.fs.stats());
   ThreadPool pool(4);
-  auto truth = DatasetScanBuilder(fx.reader.get()).Threads(1).Scan();
-  ASSERT_TRUE(truth.ok());
+  const auto truth = SerialGroups(*fx.reader);
   std::vector<std::thread> consumers;
   for (int t = 0; t < 4; ++t) {
     consumers.emplace_back([&] {
@@ -454,9 +520,9 @@ TEST(ScanStream, ConcurrentStreamsShareOnePoolAndCache) {
         if (!*more) break;
         batches.push_back(std::move(batch));
       }
-      ASSERT_EQ(batches.size(), truth->groups.size());
+      ASSERT_EQ(batches.size(), truth.size());
       for (size_t g = 0; g < batches.size(); ++g) {
-        EXPECT_EQ(batches[g].columns, truth->groups[g]);
+        EXPECT_EQ(batches[g].columns, truth[g]);
       }
     });
   }

@@ -64,9 +64,9 @@ TEST(AdsSchema, WritesAndReadsThroughBullion) {
   ASSERT_TRUE(WriteTableFile(f->get(), schema, {data}).ok());
   auto reader = *TableReader::Open(*fs.NewReadableFile("ads"));
   EXPECT_EQ(reader->num_columns(), schema.num_leaves());
-  auto col = ReadFullColumn(reader.get(), schema.leaves()[0].name);
-  ASSERT_TRUE(col.ok());
-  EXPECT_EQ(*col, data[0]);
+  auto scan = Scan(reader.get()).Columns({schema.leaves()[0].name}).Collect();
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(*scan->ConcatColumn(0), data[0]);
 }
 
 TEST(Zipf, SkewConcentratesMass) {
