@@ -1,8 +1,9 @@
 // E14 — dataset evolution: deletion-aware shard compaction + GC.
 //
-// Matrix: delete fraction x encode threads. For each cell a fresh
-// sharded dataset is written, the target fraction of every shard's
-// rows is tombstoned in place (§2.1 deletion vectors), and
+// Matrix: delete fraction x encode threads. For each fraction one
+// sharded dataset is written and the target fraction of every shard's
+// rows is tombstoned in place (§2.1 deletion vectors); each cell then
+// takes a byte copy of its shard files in a fresh file system, and
 // DatasetCompactor rewrites the shards whose deleted fraction meets
 // the threshold — page encodes fanned across ONE shared
 // exec::ThreadPool, commits in shard order, replaced files GC'd.
@@ -35,6 +36,22 @@ struct TombstonedCorpus {
   InMemoryFileSystem fs;
   Schema schema;
   ShardManifest manifest;
+
+  /// A byte copy of the corpus in a fresh file system. Compaction
+  /// consumes its input, so every run compacts its own copy.
+  std::unique_ptr<TombstonedCorpus> Copy() {
+    std::unique_ptr<TombstonedCorpus> copy(new TombstonedCorpus());
+    copy->schema = schema;
+    copy->manifest = manifest;
+    for (size_t s = 0; s < manifest.num_shards(); ++s) {
+      const std::string& name = manifest.shard(s).name;
+      std::vector<uint8_t> bytes = FileBytes(name);
+      auto file = *copy->fs.NewWritableFile(name);
+      BULLION_CHECK_OK(file->Append(Slice(bytes.data(), bytes.size())));
+      BULLION_CHECK_OK(file->Flush());
+    }
+    return copy;
+  }
 
   explicit TombstonedCorpus(double delete_fraction) {
     schema = BuildAdsSchema(0.02);
@@ -88,6 +105,9 @@ struct TombstonedCorpus {
     BULLION_CHECK_OK(file->Read(0, *file->Size(), &buf));
     return std::vector<uint8_t>(buf.data(), buf.data() + buf.size());
   }
+
+ private:
+  TombstonedCorpus() = default;
 };
 
 std::vector<ColumnVector> ScanAll(ShardedTableReader* reader) {
@@ -113,20 +133,22 @@ void PrintCompactionReport() {
               "serial_eq", "rows_freed");
 
   for (double fraction : {0.125, 0.25, 0.5}) {
-    // Ground truth + serial (1-thread) reference bytes for this
-    // fraction, built on an identical corpus.
-    TombstonedCorpus serial(fraction);
-    auto pre = *serial.OpenDataset(serial.manifest);
+    // One corpus per fraction. Ground truth comes from it; the serial
+    // (1-thread) reference bytes, every cell and every timed run come
+    // from byte copies of it.
+    TombstonedCorpus source(fraction);
+    auto pre = *source.OpenDataset(source.manifest);
     std::vector<ColumnVector> truth = ScanAll(pre.get());
+    auto serial = source.Copy();
     DatasetCompactionOptions sopts;
     sopts.min_deleted_fraction = 0.1;
     sopts.threads = 1;
-    auto serial_report = serial.Compactor().Compact(serial.manifest, sopts);
+    auto serial_report = serial->Compactor().Compact(serial->manifest, sopts);
     BULLION_CHECK(serial_report.ok());
     double serial_ms = 0;
 
     for (size_t threads : {1, 2, 4, 8}) {
-      TombstonedCorpus corpus(fraction);
+      auto corpus = source.Copy();
       DatasetCompactionOptions opts;
       opts.min_deleted_fraction = 0.1;  // every shard qualifies
       opts.threads = threads;
@@ -134,10 +156,10 @@ void PrintCompactionReport() {
       // Verify the cell before timing it: scan equivalence against the
       // tombstone-filtered original, byte-identity against the serial
       // rebuild, zero deleted rows left behind.
-      auto check = corpus.Compactor().Compact(corpus.manifest, opts);
+      auto check = corpus->Compactor().Compact(corpus->manifest, opts);
       BULLION_CHECK(check.ok());
       BULLION_CHECK(check->manifest.total_deleted_rows() == 0);
-      auto post = *corpus.OpenDataset(check->manifest);
+      auto post = *corpus->OpenDataset(check->manifest);
       std::vector<ColumnVector> got = ScanAll(post.get());
       bool equivalent = got.size() == truth.size();
       for (size_t c = 0; equivalent && c < truth.size(); ++c) {
@@ -147,15 +169,15 @@ void PrintCompactionReport() {
       for (size_t s = 0; s < check->manifest.num_shards(); ++s) {
         serial_identical =
             serial_identical &&
-            corpus.FileBytes(check->manifest.shard(s).name) ==
-                serial.FileBytes(serial_report->manifest.shard(s).name);
+            corpus->FileBytes(check->manifest.shard(s).name) ==
+                serial->FileBytes(serial_report->manifest.shard(s).name);
       }
 
-      // Time a fresh corpus (compaction consumes its input, so this is
+      // Time a fresh copy (compaction consumes its input, so this is
       // a single-shot measurement).
-      TombstonedCorpus timed(fraction);
+      auto timed = source.Copy();
       double ms = bench::TimeUs([&] {
-                    auto rep = timed.Compactor().Compact(timed.manifest, opts);
+                    auto rep = timed->Compactor().Compact(timed->manifest, opts);
                     BULLION_CHECK(rep.ok());
                     benchmark::DoNotOptimize(rep);
                   }) /
@@ -181,11 +203,12 @@ void BM_CompactDataset(benchmark::State& state) {
   DatasetCompactionOptions opts;
   opts.min_deleted_fraction = 0.1;
   opts.threads = threads;
+  TombstonedCorpus source(0.25);
   for (auto _ : state) {
     state.PauseTiming();
-    TombstonedCorpus corpus(0.25);
+    auto corpus = source.Copy();
     state.ResumeTiming();
-    auto rep = corpus.Compactor().Compact(corpus.manifest, opts);
+    auto rep = corpus->Compactor().Compact(corpus->manifest, opts);
     BULLION_CHECK(rep.ok());
     benchmark::DoNotOptimize(rep);
   }

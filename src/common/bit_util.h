@@ -33,16 +33,19 @@ class BitWriter {
  public:
   BitWriter() : bit_pos_(0) {}
 
-  /// Appends the low `bits` bits of `value`.
+  /// Appends the low `bits` (0..64) bits of `value`, a byte at a time:
+  /// the first byte is OR-ed into the partial tail, the rest are new.
   void Write(uint64_t value, int bits) {
-    for (int i = 0; i < bits; ++i) {
-      size_t byte = bit_pos_ >> 3;
-      if (byte >= bytes_.size()) bytes_.push_back(0);
-      if ((value >> i) & 1) {
-        bytes_[byte] |= static_cast<uint8_t>(1u << (bit_pos_ & 7));
-      }
-      ++bit_pos_;
+    if (bits <= 0) return;
+    if (bits < 64) value &= (uint64_t{1} << bits) - 1;
+    const int offset = static_cast<int>(bit_pos_ & 7);
+    bytes_.resize((bit_pos_ + static_cast<size_t>(bits) + 7) >> 3, 0);
+    uint8_t* p = bytes_.data() + (bit_pos_ >> 3);
+    *p |= static_cast<uint8_t>(value << offset);
+    for (int done = 8 - offset; done < bits; done += 8) {
+      *++p = static_cast<uint8_t>(value >> done);
     }
+    bit_pos_ += static_cast<size_t>(bits);
   }
 
   /// Appends a single bit.
@@ -95,6 +98,11 @@ void PackBits(const uint64_t* values, size_t n, int width,
 
 /// Unpacks `n` values of `width` bits each from `data`.
 void UnpackBits(Slice data, size_t n, int width, std::vector<uint64_t>* out);
+
+/// Bit-plane transpose of `n` 8-byte words at `words` (any alignment):
+/// plane b, of RoundUpToBytes(n) bytes, holds bit b of every word,
+/// LSB-first. `planes` receives 64 such planes, plane 0 first.
+void BitPlanes(const void* words, size_t n, std::vector<uint8_t>* planes);
 
 /// Reads the value at index `idx` from a fixed-width packed buffer
 /// without decoding the rest (random access, used for in-place delete).

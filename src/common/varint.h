@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -35,14 +36,10 @@ inline void PutVarint64(BufferBuilder* out, uint64_t v) {
   out->Append<uint8_t>(static_cast<uint8_t>(v));
 }
 
-/// Number of bytes the LEB128 encoding of v occupies.
+/// Number of bytes the LEB128 encoding of v occupies: one per started
+/// group of 7 significant bits, and one for zero.
 inline int VarintLength(uint64_t v) {
-  int n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  return (64 - std::countl_zero(v | 1) + 6) / 7;
 }
 
 /// Decodes one varint starting at data[*pos]; advances *pos. Returns

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <utility>
 
+#include "common/bit_util.h"
+#include "common/varint.h"
 #include "encoding/bool_codecs.h"
+#include "encoding/deflate_util.h"
 #include "encoding/float_codecs.h"
 #include "encoding/int_codecs.h"
 #include "encoding/stats.h"
@@ -17,18 +22,21 @@ namespace {
 
 /// Takes up to `target` values as up-to-8 evenly spaced contiguous
 /// chunks, preserving local run/delta structure the selector must see.
+/// An input no larger than `target` is its own sample (no copy); a
+/// larger one is copied into `storage`.
 template <typename T>
-std::vector<T> SampleChunks(std::span<const T> values, size_t target) {
-  if (values.size() <= target) return std::vector<T>(values.begin(), values.end());
+std::span<const T> SampleChunks(std::span<const T> values, size_t target,
+                                std::vector<T>* storage) {
+  if (values.size() <= target) return values;
   size_t n_chunks = 8;
   size_t chunk = target / n_chunks;
-  std::vector<T> out;
-  out.reserve(chunk * n_chunks);
+  storage->reserve(chunk * n_chunks);
   for (size_t c = 0; c < n_chunks; ++c) {
     size_t start = (values.size() - chunk) * c / (n_chunks - 1);
-    for (size_t i = 0; i < chunk; ++i) out.push_back(values[start + i]);
+    storage->insert(storage->end(), values.begin() + start,
+                    values.begin() + start + chunk);
   }
-  return out;
+  return *storage;
 }
 
 double ScoreCost(const CascadeOptions& opts, EncodingType t, size_t est_bytes,
@@ -47,6 +55,220 @@ bool IntEncodingHasChildren(EncodingType t) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Selection pricing.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+size_t VarintBytes(uint64_t v) {
+  return static_cast<size_t>(varint::VarintLength(v));
+}
+
+size_t HeaderBytes(size_t count) { return 1 + VarintBytes(count); }
+
+/// Smallest complete int block of `count` values: every int encoding
+/// writes at least one payload byte for a non-empty stream.
+size_t MinIntChildBytes(size_t count) {
+  return HeaderBytes(count) + (count > 0 ? 1 : 0);
+}
+
+/// Smallest deflate_util::CompressChunked output for `raw` input bytes:
+/// the chunk count, then per chunk its raw and compressed length
+/// varints, the 2-byte zlib header, at least one byte of deflate data
+/// and the 4-byte Adler-32.
+size_t MinDeflateBytes(size_t raw) {
+  const size_t n_chunks = bit_util::CeilDiv(raw, deflate_util::kChunkSize);
+  size_t bytes = VarintBytes(n_chunks);
+  for (size_t c = 0; c < n_chunks; ++c) {
+    size_t len = std::min(deflate_util::kChunkSize,
+                          raw - c * deflate_util::kChunkSize);
+    bytes += VarintBytes(len) + 1 + 2 + 1 + 4;
+  }
+  return bytes;
+}
+
+/// Smallest payload of the 128-value miniblock codecs: per miniblock
+/// `fixed` framing bytes plus at least one bit per value.
+size_t MinMiniblockBytes(size_t count, size_t fixed) {
+  const size_t full = count / 128;
+  const size_t rest = count % 128;
+  return full * (fixed + 16) +
+         (rest > 0 ? fixed + bit_util::RoundUpToBytes(rest) : 0);
+}
+
+}  // namespace
+
+template <>
+size_t MinBlockBytes<int64_t>(EncodingType type, size_t n) {
+  const size_t h = HeaderBytes(n);
+  const size_t bit_per_value = bit_util::RoundUpToBytes(n);
+  switch (type) {
+    case EncodingType::kTrivial:
+      return h + 8 * n;
+    case EncodingType::kVarint:
+    case EncodingType::kZigZag:
+      return h + n;
+    case EncodingType::kFixedBitWidth:
+      return h + 1 + bit_per_value;
+    case EncodingType::kForDelta:
+      return n == 0 ? h : h + 2 + bit_per_value;
+    case EncodingType::kDelta:
+      // First value, then the deltas as a child block.
+      return n == 0 ? h : h + 1 + (n > 1 ? MinIntChildBytes(n - 1) : 0);
+    case EncodingType::kConstant:
+      return n == 0 ? h : h + 1;
+    case EncodingType::kMainlyConstant:
+      return n == 0 ? h : h + 2;
+    case EncodingType::kRle:
+      // Run values and run lengths children; a non-empty stream has a run.
+      return h + 2 * MinIntChildBytes(n == 0 ? 0 : 1);
+    case EncodingType::kDictionary:
+      // Mask flag, entry count, entries child (at least one entry when
+      // non-empty), codes child.
+      return h + 2 + MinIntChildBytes(n == 0 ? 0 : 1) + MinIntChildBytes(n);
+    case EncodingType::kHuffman:
+      // Alphabet size; then at least one symbol (value + code length),
+      // the bit count, and one bit per value.
+      return n == 0 ? h + 1 : h + 3 + VarintBytes(n) + bit_per_value;
+    case EncodingType::kFastPFor:
+      return h + MinMiniblockBytes(n, 3);  // base, width, exception count
+    case EncodingType::kFastBP128:
+      return h + MinMiniblockBytes(n, 2);  // base, width
+    case EncodingType::kBitShuffle:
+      return h + MinDeflateBytes(64 * bit_per_value);
+    case EncodingType::kChunked:
+      return h + MinDeflateBytes(8 * n);
+    default:
+      return h;
+  }
+}
+
+template <>
+size_t MinBlockBytes<double>(EncodingType type, size_t n) {
+  const size_t h = HeaderBytes(n);
+  switch (type) {
+    case EncodingType::kTrivial:
+      return h + 8 * n;
+    case EncodingType::kGorilla:
+    case EncodingType::kChimp: {
+      // Bit count, the first value raw, then at least one (Gorilla) or
+      // two (Chimp) bits per further value.
+      if (n == 0) return h + 1;
+      const size_t per_value = type == EncodingType::kGorilla ? 1 : 2;
+      const size_t bits = 64 + per_value * (n - 1);
+      return h + VarintBytes(bits) + bit_util::RoundUpToBytes(bits);
+    }
+    case EncodingType::kPseudodecimal:
+      return h + 2 * n;  // control byte + at least one mantissa byte
+    case EncodingType::kAlp:
+      return h + 2 + MinIntChildBytes(n);  // exponent, exception count
+    case EncodingType::kBitShuffle:
+      return h + MinDeflateBytes(64 * bit_util::RoundUpToBytes(n));
+    case EncodingType::kChunked:
+      return h + MinDeflateBytes(8 * n);
+    default:
+      return h;
+  }
+}
+
+template <>
+size_t MinBlockBytes<std::string>(EncodingType type, size_t n) {
+  const size_t h = HeaderBytes(n);
+  switch (type) {
+    case EncodingType::kStringTrivial:
+      return h + MinIntChildBytes(n);  // lengths child
+    case EncodingType::kStringDict:
+      // Entry count, entry-lengths child, codes child.
+      return h + 1 + MinIntChildBytes(n == 0 ? 0 : 1) + MinIntChildBytes(n);
+    case EncodingType::kFsst:
+      // Symbol count, lengths child, encoded byte count.
+      return h + 2 + MinIntChildBytes(n);
+    case EncodingType::kChunked:
+      // Lengths child, then a deflate stream that may be empty.
+      return h + MinIntChildBytes(n) + MinDeflateBytes(0);
+    default:
+      return h;
+  }
+}
+
+template <>
+size_t MinBlockBytes<uint8_t>(EncodingType type, size_t n) {
+  const size_t h = HeaderBytes(n);
+  switch (type) {
+    case EncodingType::kTrivial:
+      return h + bit_util::RoundUpToBytes(n);
+    case EncodingType::kSparseBool:
+    case EncodingType::kRoaring:
+      return h + 1;  // set-bit or container count
+    case EncodingType::kBoolRle:
+      return h + 1 + MinIntChildBytes(n == 0 ? 0 : 1);  // first value, runs
+    default:
+      return h;
+  }
+}
+
+IntBlockSizer::IntBlockSizer(std::span<const int64_t> values)
+    : count_(values.size()) {
+  if (values.empty()) return;
+  min_ = max_ = values[0];
+  for (size_t off = 0; off < values.size(); off += 128) {
+    const size_t len = std::min<size_t>(128, values.size() - off);
+    int64_t bmin = values[off];
+    int64_t bmax = values[off];
+    for (size_t i = off; i < off + len; ++i) {
+      const int64_t x = values[i];
+      bmin = std::min(bmin, x);
+      bmax = std::max(bmax, x);
+      varint_bytes_ += VarintBytes(static_cast<uint64_t>(x));
+      zigzag_bytes_ += VarintBytes(varint::ZigZagEncode(x));
+    }
+    const uint64_t range =
+        static_cast<uint64_t>(bmax) - static_cast<uint64_t>(bmin);
+    bp128_bytes_ += VarintBytes(varint::ZigZagEncode(bmin)) + 1 +
+                    bit_util::RoundUpToBytes(
+                        len * static_cast<size_t>(
+                                  std::max(1, bit_util::BitWidth(range))));
+    min_ = std::min(min_, bmin);
+    max_ = std::max(max_, bmax);
+  }
+}
+
+std::optional<size_t> IntBlockSizer::BlockBytes(EncodingType t) const {
+  const size_t n = count_;
+  const size_t h = HeaderBytes(n);
+  // Bytes of `n` values bit-packed at the width of `max_value` (>= 1).
+  auto packed = [n](uint64_t max_value) {
+    return bit_util::RoundUpToBytes(
+        n * static_cast<size_t>(std::max(1, bit_util::BitWidth(max_value))));
+  };
+  const bool negative = n > 0 && min_ < 0;
+  switch (t) {
+    case EncodingType::kTrivial:
+      return h + 8 * n;
+    case EncodingType::kConstant:
+      if (n == 0) return h;
+      if (min_ != max_) return std::nullopt;
+      return h + VarintBytes(varint::ZigZagEncode(min_));
+    case EncodingType::kFixedBitWidth:
+      if (negative) return std::nullopt;
+      return h + 1 + packed(static_cast<uint64_t>(max_));
+    case EncodingType::kVarint:
+      if (negative) return std::nullopt;
+      return h + varint_bytes_;
+    case EncodingType::kZigZag:
+      return h + zigzag_bytes_;
+    case EncodingType::kForDelta:
+      if (n == 0) return h;
+      return h + VarintBytes(varint::ZigZagEncode(min_)) + 1 +
+             packed(static_cast<uint64_t>(max_) - static_cast<uint64_t>(min_));
+    case EncodingType::kFastBP128:
+      return h + bp128_bytes_;
+    default:
+      return std::nullopt;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Forced block encoders (header + payload).
@@ -403,38 +625,137 @@ std::vector<EncodingType> BoolCandidates(const BoolStats& s,
   return filtered;
 }
 
-/// Trial-encodes candidates on the sample and returns the argmin-cost
-/// encoding. `encode_fn(type, sample, &builder)` must write a block.
-template <typename T, typename EncodeFn>
-Result<SelectionDecision> SelectBest(std::span<const T> full,
-                                     const std::vector<EncodingType>& cands,
-                                     const CascadeOptions& opts,
-                                     EncodeFn&& encode_fn) {
-  std::vector<T> sample_storage = SampleChunks(full, opts.sample_values);
-  std::span<const T> sample(sample_storage);
+/// Outcome of selection. `block` holds the winner's trial bytes when
+/// the sample was the whole input: they are then the final block.
+struct Selection {
+  SelectionDecision decision;
+  std::optional<BufferBuilder> block;
+};
+
+/// Returns the argmin-cost candidate on the sample, breaking cost ties
+/// by list position (earliest wins). `price(type, sample)` returns the
+/// exact block size of a formula-priced candidate, or nullopt to
+/// trial-encode it with `encode(type, sample, &builder)`. A trial is
+/// skipped when even MinBlockBytes could not beat the best so far; that
+/// bound is sound because the cost never falls as the size grows
+/// (w_size >= 0). Selection is the same as trial-encoding every
+/// candidate in list order.
+template <typename T, typename PriceFn, typename EncodeFn>
+Result<Selection> SelectBest(std::span<const T> full,
+                             const std::vector<EncodingType>& cands,
+                             const CascadeOptions& opts, PriceFn&& price,
+                             EncodeFn&& encode) {
+  std::vector<T> sample_storage;
+  std::span<const T> sample =
+      SampleChunks(full, opts.sample_values, &sample_storage);
+  const bool whole = sample.size() == full.size();
   double scale = sample.empty()
                      ? 1.0
                      : static_cast<double>(full.size()) /
                            static_cast<double>(sample.size());
+  auto cost_of = [&](EncodingType t, size_t sample_bytes) {
+    size_t est = static_cast<size_t>(static_cast<double>(sample_bytes) * scale);
+    return ScoreCost(opts, t, est, full.size());
+  };
 
-  SelectionDecision best{EncodingType::kTrivial,
-                         std::numeric_limits<double>::infinity(), 0};
+  Selection best{{EncodingType::kTrivial,
+                  std::numeric_limits<double>::infinity(), 0},
+                 std::nullopt};
+  size_t best_pos = 0;
   bool found = false;
-  for (EncodingType t : cands) {
+  auto beats_best = [&](double cost, size_t pos) {
+    return cost < best.decision.cost ||
+           (found && cost == best.decision.cost && pos < best_pos);
+  };
+  auto take = [&](size_t pos, size_t sample_bytes,
+                  std::optional<BufferBuilder> block) {
+    best = Selection{{cands[pos], cost_of(cands[pos], sample_bytes),
+                      sample_bytes},
+                     std::move(block)};
+    best_pos = pos;
+    found = true;
+  };
+
+  std::vector<bool> priced(cands.size(), false);
+  for (size_t i = 0; i < cands.size(); ++i) {
+    std::optional<size_t> bytes = price(cands[i], sample);
+    if (!bytes) continue;
+    priced[i] = true;
+    if (beats_best(cost_of(cands[i], *bytes), i)) take(i, *bytes, std::nullopt);
+  }
+  const bool can_skip = opts.w_size >= 0;
+  for (size_t i = 0; i < cands.size(); ++i) {
+    if (priced[i]) continue;
+    EncodingType t = cands[i];
+    if (can_skip && found &&
+        !beats_best(cost_of(t, MinBlockBytes<T>(t, sample.size())), i)) {
+      continue;
+    }
     BufferBuilder trial;
-    Status st = encode_fn(t, sample, &trial);
-    if (!st.ok()) continue;  // candidate ineligible on this data
-    size_t est = static_cast<size_t>(static_cast<double>(trial.size()) * scale);
-    double cost = ScoreCost(opts, t, est, full.size());
-    if (cost < best.cost) {
-      best = SelectionDecision{t, cost, trial.size()};
-      found = true;
+    if (!encode(t, sample, &trial).ok()) continue;  // ineligible on this data
+    if (beats_best(cost_of(t, trial.size()), i)) {
+      size_t bytes = trial.size();
+      take(i, bytes, whole ? std::optional<BufferBuilder>(std::move(trial))
+                           : std::nullopt);
     }
   }
   if (!found) {
     return Status::Unknown("no eligible encoding candidate");
   }
   return best;
+}
+
+// Price functions for SelectBest. Ints price the IntBlockSizer formulas
+// (built once, on the sample SelectBest takes) and doubles price raw
+// 8-byte values; every other candidate is trial-encoded.
+
+struct IntPricer {
+  std::optional<IntBlockSizer> sizer;
+  std::optional<size_t> operator()(EncodingType t,
+                                   std::span<const int64_t> sample) {
+    if (!sizer) sizer.emplace(sample);
+    return sizer->BlockBytes(t);
+  }
+};
+
+std::optional<size_t> PriceDouble(EncodingType t,
+                                  std::span<const double> sample) {
+  if (t != EncodingType::kTrivial) return std::nullopt;
+  return MinBlockBytes<double>(t, sample.size());  // exact for raw values
+}
+
+template <typename T>
+std::optional<size_t> TrialOnly(EncodingType, std::span<const T>) {
+  return std::nullopt;
+}
+
+/// Selects an encoding for `values` and appends its block to `out`,
+/// with children at `child_depth`. Reuses the winning trial's bytes
+/// when they cover the whole input; otherwise encodes the winner once.
+template <typename T, typename PriceFn>
+Result<SelectionDecision> SelectAndEncode(
+    std::span<const T> values, const std::vector<EncodingType>& cands,
+    const CascadeOptions& opts, int child_depth, PriceFn&& price,
+    Status (*encode_as)(EncodingType, std::span<const T>, CascadeContext*,
+                        BufferBuilder*),
+    BufferBuilder* out) {
+  BULLION_ASSIGN_OR_RETURN(
+      Selection sel,
+      SelectBest<T>(values, cands, opts, std::forward<PriceFn>(price),
+                    [&](EncodingType t, std::span<const T> s,
+                        BufferBuilder* b) {
+                      CascadeContext trial_ctx(opts, child_depth);
+                      return encode_as(t, s, &trial_ctx, b);
+                    }));
+  if (!sel.block) {
+    CascadeContext child(opts, child_depth);
+    BULLION_RETURN_NOT_OK(encode_as(sel.decision.chosen, values, &child, out));
+  } else if (out->size() == 0) {
+    *out = std::move(*sel.block);
+  } else {
+    out->AppendSlice(sel.block->AsSlice());
+  }
+  return sel.decision;
 }
 
 }  // namespace
@@ -460,18 +781,11 @@ Status CascadeContext::EncodeIntChild(std::span<const int64_t> values,
     CascadeContext leaf(options_, depth_ + 1);
     return EncodeIntBlockAs(leaf_type, values, &leaf, out);
   }
-  CascadeContext child(options_, depth_ + 1);
   IntStats stats = ComputeIntStats(values);
-  std::vector<EncodingType> cands = IntCandidates(stats, options_);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision decision,
-      SelectBest<int64_t>(values, cands, options_,
-                          [&](EncodingType t, std::span<const int64_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options_, depth_ + 1);
-                            return EncodeIntBlockAs(t, s, &trial_ctx, b);
-                          }));
-  return EncodeIntBlockAs(decision.chosen, values, &child, out);
+  return SelectAndEncode<int64_t>(values, IntCandidates(stats, options_),
+                                  options_, depth_ + 1, IntPricer{},
+                                  &EncodeIntBlockAs, out)
+      .status();
 }
 
 Status CascadeContext::EncodeBoolChild(std::span<const uint8_t> values,
@@ -480,18 +794,11 @@ Status CascadeContext::EncodeBoolChild(std::span<const uint8_t> values,
     CascadeContext leaf(options_, depth_ + 1);
     return EncodeBoolBlockAs(EncodingType::kTrivial, values, &leaf, out);
   }
-  CascadeContext child(options_, depth_ + 1);
   BoolStats stats = ComputeBoolStats(values);
-  std::vector<EncodingType> cands = BoolCandidates(stats, options_);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision decision,
-      SelectBest<uint8_t>(values, cands, options_,
-                          [&](EncodingType t, std::span<const uint8_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options_, depth_ + 1);
-                            return EncodeBoolBlockAs(t, s, &trial_ctx, b);
-                          }));
-  return EncodeBoolBlockAs(decision.chosen, values, &child, out);
+  return SelectAndEncode<uint8_t>(values, BoolCandidates(stats, options_),
+                                  options_, depth_ + 1, TrialOnly<uint8_t>,
+                                  &EncodeBoolBlockAs, out)
+      .status();
 }
 
 // ---------------------------------------------------------------------------
@@ -501,21 +808,13 @@ Status CascadeContext::EncodeBoolChild(std::span<const uint8_t> values,
 Result<Buffer> EncodeInt64ColumnWithDecision(std::span<const int64_t> values,
                                              const CascadeOptions& options,
                                              SelectionDecision* decision) {
-  CascadeContext ctx(options, 0);
   IntStats stats = ComputeIntStats(values);
-  std::vector<EncodingType> cands = IntCandidates(stats, options);
+  BufferBuilder out;
   BULLION_ASSIGN_OR_RETURN(
       SelectionDecision best,
-      SelectBest<int64_t>(values, cands, options,
-                          [&](EncodingType t, std::span<const int64_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options, 1);
-                            return EncodeIntBlockAs(t, s, &trial_ctx, b);
-                          }));
+      SelectAndEncode<int64_t>(values, IntCandidates(stats, options), options,
+                               1, IntPricer{}, &EncodeIntBlockAs, &out));
   if (decision != nullptr) *decision = best;
-  BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeIntBlockAs(best.chosen, values, &child, &out));
   return out.Finish();
 }
 
@@ -531,20 +830,15 @@ Status DecodeInt64Column(Slice block, std::vector<int64_t>* out) {
 
 Result<Buffer> EncodeDoubleColumn(std::span<const double> values,
                                   const CascadeOptions& options) {
-  std::vector<double> sample = SampleChunks(values, options.sample_values);
-  FloatStats stats = ComputeFloatStats(sample);
-  std::vector<EncodingType> cands = DoubleCandidates(stats, options);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision best,
-      SelectBest<double>(values, cands, options,
-                         [&](EncodingType t, std::span<const double> s,
-                             BufferBuilder* b) {
-                           CascadeContext trial_ctx(options, 1);
-                           return EncodeDoubleBlockAs(t, s, &trial_ctx, b);
-                         }));
+  std::vector<double> sample_storage;
+  FloatStats stats = ComputeFloatStats(
+      SampleChunks(values, options.sample_values, &sample_storage));
   BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeDoubleBlockAs(best.chosen, values, &child, &out));
+  BULLION_RETURN_NOT_OK(
+      SelectAndEncode<double>(values, DoubleCandidates(stats, options),
+                              options, 1, PriceDouble, &EncodeDoubleBlockAs,
+                              &out)
+          .status());
   return out.Finish();
 }
 
@@ -556,19 +850,12 @@ Status DecodeDoubleColumn(Slice block, std::vector<double>* out) {
 Result<Buffer> EncodeStringColumn(std::span<const std::string> values,
                                   const CascadeOptions& options) {
   StringStats stats = ComputeStringStats(values);
-  std::vector<EncodingType> cands = StringCandidates(stats, options);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision best,
-      SelectBest<std::string>(values, cands, options,
-                              [&](EncodingType t,
-                                  std::span<const std::string> s,
-                                  BufferBuilder* b) {
-                                CascadeContext trial_ctx(options, 1);
-                                return EncodeStringBlockAs(t, s, &trial_ctx, b);
-                              }));
   BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeStringBlockAs(best.chosen, values, &child, &out));
+  BULLION_RETURN_NOT_OK(
+      SelectAndEncode<std::string>(values, StringCandidates(stats, options),
+                                   options, 1, TrialOnly<std::string>,
+                                   &EncodeStringBlockAs, &out)
+          .status());
   return out.Finish();
 }
 
@@ -580,18 +867,12 @@ Status DecodeStringColumn(Slice block, std::vector<std::string>* out) {
 Result<Buffer> EncodeBoolColumn(std::span<const uint8_t> values,
                                 const CascadeOptions& options) {
   BoolStats stats = ComputeBoolStats(values);
-  std::vector<EncodingType> cands = BoolCandidates(stats, options);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision best,
-      SelectBest<uint8_t>(values, cands, options,
-                          [&](EncodingType t, std::span<const uint8_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options, 1);
-                            return EncodeBoolBlockAs(t, s, &trial_ctx, b);
-                          }));
   BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeBoolBlockAs(best.chosen, values, &child, &out));
+  BULLION_RETURN_NOT_OK(
+      SelectAndEncode<uint8_t>(values, BoolCandidates(stats, options), options,
+                               1, TrialOnly<uint8_t>, &EncodeBoolBlockAs,
+                               &out)
+          .status());
   return out.Finish();
 }
 

@@ -3,13 +3,16 @@
 // EncodeInt64Column / EncodeDoubleColumn / EncodeStringColumn /
 // EncodeBoolColumn sample the input, gate candidate encodings on
 // full-data statistics (so a sampled winner can never fail on the full
-// column), trial-encode candidates, score them with the linear
-// objective from CascadeOptions, and emit the winning self-describing
-// block. Child streams recurse through CascadeContext until max_depth.
+// column), price each candidate on the sample (by formula where one is
+// exact, else by a trial encode that is skipped when the codec's
+// minimum size cannot win), score them with the linear objective from
+// CascadeOptions, and emit the winning self-describing block. Child
+// streams recurse through CascadeContext until max_depth.
 
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -117,6 +120,38 @@ Result<Buffer> EncodeNullableInt64Column(std::span<const int64_t> values,
 Status DecodeNullableInt64Column(Slice block, int64_t null_fill,
                                  std::vector<int64_t>* values,
                                  std::vector<uint8_t>* validity);
+
+// ---------------------------------------------------------------------------
+// Selection pricing (see "Selection" in encoding/README.md).
+// ---------------------------------------------------------------------------
+
+/// Proven lower bound on the size of any block of `count` values that
+/// the forced encoder of `type` writes in the value domain of T
+/// (int64_t, double, std::string, or uint8_t for bools): the header
+/// plus the codec's fixed framing. The selector skips a trial whose
+/// bound cannot beat the best candidate found so far.
+template <typename T>
+size_t MinBlockBytes(EncodingType type, size_t count);
+
+/// \brief Exact block sizes of the int encodings whose size is a closed
+/// formula over the values: Constant, FixedBitWidth, ForDelta,
+/// FastBP128, Varint, ZigZag and Trivial. One pass over the values.
+class IntBlockSizer {
+ public:
+  explicit IntBlockSizer(std::span<const int64_t> values);
+
+  /// Size of the block EncodeIntBlockAs(t, values) writes, or nullopt
+  /// when `t` is not formula-priced or would reject these values.
+  std::optional<size_t> BlockBytes(EncodingType t) const;
+
+ private:
+  size_t count_ = 0;
+  int64_t min_ = 0;
+  int64_t max_ = 0;
+  size_t varint_bytes_ = 0;
+  size_t zigzag_bytes_ = 0;
+  size_t bp128_bytes_ = 0;
+};
 
 /// Selection decision record (exposed for tests/benches/EXPERIMENTS).
 struct SelectionDecision {

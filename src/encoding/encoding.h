@@ -75,8 +75,11 @@ struct CascadeOptions {
   /// Maximum recursion depth for child streams. Depth 0 encodes every
   /// child trivially; the paper notes BtrBlocks uses 1-2 in practice.
   int max_depth = 2;
-  /// Sample size used by the selector for trial encodings on large
-  /// inputs (values; full data is used when smaller than this).
+  /// Most values the selector prices candidates on. An input of at
+  /// most this many values is priced whole, and the winning trial's
+  /// bytes become the block. A larger input is priced on 8 evenly
+  /// spaced chunks totalling about this many values, and the winner is
+  /// then encoded over the full input.
   size_t sample_values = 8192;
   /// Linear objective weights (Nimble-style): minimize
   ///   w_size * bytes + w_encode * est_encode_cost + w_decode * est_decode_cost.

@@ -224,18 +224,8 @@ Status DecodeChunked(SliceReader* in, size_t n, std::vector<double>* out) {
 }
 
 Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out) {
-  size_t n = v.size();
-  size_t plane_bytes = (n + 7) / 8;
-  std::vector<uint8_t> planes(plane_bytes * 64, 0);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t x = DoubleBits(v[i]);
-    for (int b = 0; b < 64; ++b) {
-      if ((x >> b) & 1) {
-        planes[static_cast<size_t>(b) * plane_bytes + (i >> 3)] |=
-            static_cast<uint8_t>(1u << (i & 7));
-      }
-    }
-  }
+  std::vector<uint8_t> planes;
+  bit_util::BitPlanes(v.data(), v.size(), &planes);
   return deflate_util::CompressChunked(Slice(planes.data(), planes.size()),
                                        out);
 }

@@ -329,11 +329,13 @@ void AssignCanonicalCodes(const std::vector<int>& lengths,
                           std::vector<uint64_t>* codes) {
   size_t n = lengths.size();
   codes->assign(n, 0);
+  // Symbols by (length, index): a stable counting sort on the length
+  // (callers bound lengths to 0..57).
+  size_t first[59] = {};
+  for (int len : lengths) ++first[len + 1];
+  for (int len = 1; len <= 58; ++len) first[len] += first[len - 1];
   std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return lengths[a] < lengths[b];
-  });
+  for (size_t i = 0; i < n; ++i) order[first[lengths[i]]++] = i;
   uint64_t code = 0;
   int prev_len = 0;
   for (size_t k = 0; k < n; ++k) {
@@ -349,19 +351,24 @@ void AssignCanonicalCodes(const std::vector<int>& lengths,
 }  // namespace
 
 Status EncodeHuffman(std::span<const int64_t> v, BufferBuilder* out) {
-  std::map<int64_t, size_t> freq;
-  for (int64_t x : v) ++freq[x];
-  if (freq.size() > kMaxHuffmanAlphabet) {
-    return Status::InvalidArgument("huffman alphabet too large");
-  }
+  // Alphabet in ascending value order, with each value's frequency.
+  std::vector<int64_t> sorted(v.begin(), v.end());
+  std::sort(sorted.begin(), sorted.end());
   std::vector<int64_t> alphabet;
   std::vector<size_t> freqs;
-  std::unordered_map<int64_t, size_t> sym_index;
-  for (const auto& [val, f] : freq) {
-    sym_index[val] = alphabet.size();
-    alphabet.push_back(val);
-    freqs.push_back(f);
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i + 1;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    alphabet.push_back(sorted[i]);
+    freqs.push_back(j - i);
+    i = j;
   }
+  if (alphabet.size() > kMaxHuffmanAlphabet) {
+    return Status::InvalidArgument("huffman alphabet too large");
+  }
+  std::unordered_map<int64_t, size_t> sym_index;
+  sym_index.reserve(alphabet.size());
+  for (size_t s = 0; s < alphabet.size(); ++s) sym_index[alphabet[s]] = s;
   varint::PutVarint64(out, alphabet.size());
   if (alphabet.empty()) return Status::OK();
 
@@ -378,14 +385,18 @@ Status EncodeHuffman(std::span<const int64_t> v, BufferBuilder* out) {
   }
   for (int len : lengths) out->Append<uint8_t>(static_cast<uint8_t>(len));
 
+  // Codes are emitted MSB-first so canonical prefix decoding works; the
+  // LSB-first BitWriter takes each code bit-reversed in one write.
+  std::vector<uint64_t> reversed(codes.size(), 0);
+  for (size_t s = 0; s < codes.size(); ++s) {
+    for (int b = 0; b < lengths[s]; ++b) {
+      reversed[s] = (reversed[s] << 1) | ((codes[s] >> b) & 1);
+    }
+  }
   BitWriter bw;
   for (int64_t x : v) {
     size_t s = sym_index[x];
-    // Emit MSB-first so canonical prefix decoding works.
-    uint64_t code = codes[s];
-    for (int b = lengths[s] - 1; b >= 0; --b) {
-      bw.WriteBit((code >> b) & 1);
-    }
+    bw.Write(reversed[s], lengths[s]);
   }
   varint::PutVarint64(out, bw.bit_count());
   const std::vector<uint8_t>& bytes = bw.bytes();

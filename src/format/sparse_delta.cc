@@ -13,37 +13,56 @@ WindowMatch FindBestWindow(std::span<const int64_t> prev,
   WindowMatch best{false, 0, 0, 0, static_cast<size_t>(cur.size())};
   if (prev.empty() || cur.empty()) return best;
 
-  // For each alignment shift between cur and prev, find the longest run
-  // of equal elements. shift = (index in cur) - (index in prev);
-  // shift in [-(prev.size()-1), cur.size()-1].
+  // An alignment diagonal pairs cur[k + shift] with prev[k], for
+  // shift = (index in cur) - (index in prev) in
+  // [-(prev.size()-1), cur.size()-1]. The winner is the longest run of
+  // equal elements on any diagonal, then the smallest shift, then the
+  // earliest start. Diagonals are visited longest first: the plateau
+  // shifts [lo, hi] have length m = min(|prev|, |cur|), and the two
+  // diagonals d steps outside it (1 <= d < m) have length m - d. The
+  // search stops once no remaining diagonal can reach the best run (or
+  // min_overlap, below which no run counts).
+  const int64_t p_size = static_cast<int64_t>(prev.size());
+  const int64_t c_size = static_cast<int64_t>(cur.size());
+  const int64_t lo = std::min<int64_t>(0, c_size - p_size);
+  const int64_t hi = std::max<int64_t>(0, c_size - p_size);
+  const size_t plateau = static_cast<size_t>(std::min(p_size, c_size));
   size_t best_len = 0;
-  for (int64_t shift = -(static_cast<int64_t>(prev.size()) - 1);
-       shift < static_cast<int64_t>(cur.size()); ++shift) {
+  int64_t best_shift = 0;
+
+  auto scan = [&](int64_t shift) {
     size_t p_begin = shift < 0 ? static_cast<size_t>(-shift) : 0;
     size_t c_begin = shift > 0 ? static_cast<size_t>(shift) : 0;
     size_t len = std::min(prev.size() - p_begin, cur.size() - c_begin);
-    size_t run = 0;
-    size_t run_start_c = c_begin;
-    size_t run_start_p = p_begin;
-    for (size_t k = 0; k < len; ++k) {
-      if (cur[c_begin + k] == prev[p_begin + k]) {
-        if (run == 0) {
-          run_start_c = c_begin + k;
-          run_start_p = p_begin + k;
-        }
-        ++run;
-        if (run > best_len) {
-          best_len = run;
-          best.range_start = run_start_p;
-          best.range_end = run_start_p + run;
-          best.head_len = run_start_c;
-          best.tail_len = cur.size() - (run_start_c + run);
-        }
-      } else {
-        run = 0;
+    size_t k = 0;
+    while (k < len) {
+      if (cur[c_begin + k] != prev[p_begin + k]) {
+        ++k;
+        continue;
+      }
+      size_t start = k;
+      while (k < len && cur[c_begin + k] == prev[p_begin + k]) ++k;
+      size_t run = k - start;
+      if (run > best_len || (run == best_len && shift < best_shift)) {
+        best_len = run;
+        best_shift = shift;
+        best.range_start = p_begin + start;
+        best.range_end = p_begin + start + run;
+        best.head_len = c_begin + start;
+        best.tail_len = cur.size() - (c_begin + start + run);
       }
     }
+  };
+  for (int64_t shift = lo; shift <= hi; ++shift) scan(shift);
+  for (size_t d = 1; d < plateau; ++d) {
+    const size_t len = plateau - d;
+    if (len < min_overlap || len < best_len) break;
+    // Every shift seen so far lies right of lo - d and left of hi + d,
+    // so a tie with the best run wins on the left and loses on the right.
+    scan(lo - static_cast<int64_t>(d));
+    if (len > best_len) scan(hi + static_cast<int64_t>(d));
   }
+
   best.is_delta = best_len >= min_overlap;
   if (!best.is_delta) {
     best.range_start = best.range_end = 0;
@@ -128,7 +147,8 @@ Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
   BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &tail_lens));
   BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &data));
   if (flags.size() != num_rows || head_lens.size() != num_rows ||
-      tail_lens.size() != num_rows) {
+      tail_lens.size() != num_rows ||
+      range_ends.size() != range_starts.size()) {
     return Status::Corruption("sparse-delta metadata count mismatch");
   }
 
@@ -140,11 +160,19 @@ Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
   std::vector<int64_t> prev;
   for (size_t r = 0; r < num_rows; ++r) {
     std::vector<int64_t> cur;
+    if (head_lens[r] < 0 || tail_lens[r] < 0) {
+      return Status::Corruption("sparse-delta negative head/tail length");
+    }
     size_t head = static_cast<size_t>(head_lens[r]);
     size_t tail = static_cast<size_t>(tail_lens[r]);
+    // Compared against what is left, so no sum can wrap.
+    const size_t left = data.size() - data_pos;
     if (flags[r]) {
       if (delta_idx >= range_starts.size()) {
         return Status::Corruption("sparse-delta range stream exhausted");
+      }
+      if (range_starts[delta_idx] < 0 || range_ends[delta_idx] < 0) {
+        return Status::Corruption("sparse-delta negative range");
       }
       size_t s = static_cast<size_t>(range_starts[delta_idx]);
       size_t e = static_cast<size_t>(range_ends[delta_idx]);
@@ -152,7 +180,7 @@ Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
       if (s > e || e > prev.size()) {
         return Status::Corruption("sparse-delta range out of bounds");
       }
-      if (data_pos + head + tail > data.size()) {
+      if (head > left || tail > left - head) {
         return Status::Corruption("sparse-delta data stream exhausted");
       }
       cur.reserve(head + (e - s) + tail);
@@ -164,7 +192,7 @@ Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
                  data.begin() + data_pos + tail);
       data_pos += tail;
     } else {
-      if (data_pos + tail > data.size()) {
+      if (tail > left) {
         return Status::Corruption("sparse-delta base stream exhausted");
       }
       cur.assign(data.begin() + data_pos, data.begin() + data_pos + tail);

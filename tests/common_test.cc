@@ -166,6 +166,60 @@ TEST(BitWriterReader, MixedWidths) {
   EXPECT_EQ(r.Read(1), 1u);
 }
 
+// The LSB-first layout BitWriter must keep, written one bit per step.
+struct BitAtATimeWriter {
+  std::vector<uint8_t> bytes;
+  size_t bits = 0;
+  void Write(uint64_t value, int width) {
+    for (int i = 0; i < width; ++i, ++bits) {
+      if (bits / 8 >= bytes.size()) bytes.push_back(0);
+      if ((value >> i) & 1) bytes[bits / 8] |= static_cast<uint8_t>(1u << (bits % 8));
+    }
+  }
+};
+
+TEST(BitWriterReader, WriteMatchesBitAtATimeReferenceAtEveryOffset) {
+  Random rng(9);
+  for (int offset = 0; offset <= 16; ++offset) {
+    for (int width = 0; width <= 64; ++width) {
+      // Values carry set bits above `width`, which must not leak.
+      for (uint64_t value : {~uint64_t{0}, rng.Next(), uint64_t{1}}) {
+        BitWriter w;
+        BitAtATimeWriter ref;
+        const uint64_t prefix = rng.Next();
+        w.Write(prefix, offset);
+        ref.Write(prefix, offset);
+        w.Write(value, width);
+        ref.Write(value, width);
+        w.WriteBit(true);
+        ref.Write(1, 1);
+        ASSERT_EQ(w.bytes(), ref.bytes) << "offset " << offset << " width " << width;
+        ASSERT_EQ(w.bit_count(), ref.bits);
+      }
+    }
+  }
+}
+
+TEST(BitUtil, BitPlanesMatchBitLoopReference) {
+  Random rng(10);
+  for (size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 1000}) {
+    std::vector<uint64_t> words(n);
+    for (auto& w : words) w = rng.Next() >> rng.Uniform(64);
+    const size_t plane_bytes = (n + 7) / 8;
+    std::vector<uint8_t> want(plane_bytes * 64, 0);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t b = 0; b < 64; ++b) {
+        if ((words[i] >> b) & 1) {
+          want[b * plane_bytes + i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+        }
+      }
+    }
+    std::vector<uint8_t> got;
+    bit_util::BitPlanes(words.data(), n, &got);
+    EXPECT_EQ(got, want) << "n = " << n;
+  }
+}
+
 TEST(Bitmap, SetGetCount) {
   Bitmap bm(100);
   EXPECT_EQ(bm.CountSet(), 0u);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <random>
 
 #include "common/random.h"
@@ -626,6 +627,130 @@ TEST(Cascade, PeekEncodingType) {
 }
 
 // Statistics sanity.
+// ---------------------------------------------------------------------------
+// Selection pricing: MinBlockBytes bounds every forced encoder's block
+// from below, and IntBlockSizer's formulas are exact.
+// ---------------------------------------------------------------------------
+
+const size_t kPricingLengths[] = {0, 1, 63, 64, 65, 127, 128, 129, 8191, 8193};
+
+std::vector<std::vector<int64_t>> PricingIntInputs(size_t n) {
+  Random rng(n + 5);
+  std::vector<std::vector<int64_t>> inputs;
+  auto add = [&](auto gen) {
+    std::vector<int64_t> v(n);
+    for (size_t i = 0; i < n; ++i) v[i] = gen(i);
+    inputs.push_back(std::move(v));
+  };
+  add([&](size_t) { return rng.UniformRange(0, 1000); });
+  add([&](size_t) { return rng.UniformRange(-1000000, 1000000); });
+  add([&](size_t) { return static_cast<int64_t>(rng.Next()); });
+  add([](size_t) { return int64_t{42}; });
+  add([](size_t) { return int64_t{-7}; });
+  add([](size_t) { return INT64_MIN; });
+  add([](size_t) { return INT64_MAX; });
+  add([](size_t i) { return i % 2 ? INT64_MAX : INT64_MIN; });
+  add([&](size_t) { return rng.Bernoulli(0.5) ? int64_t{3} : int64_t{900}; });
+  add([](size_t i) { return static_cast<int64_t>(i) * 3 - 100; });
+  return inputs;
+}
+
+const EncodingType kAllIntEncodings[] = {
+    EncodingType::kTrivial,   EncodingType::kVarint,
+    EncodingType::kZigZag,    EncodingType::kFixedBitWidth,
+    EncodingType::kForDelta,  EncodingType::kDelta,
+    EncodingType::kConstant,  EncodingType::kMainlyConstant,
+    EncodingType::kRle,       EncodingType::kDictionary,
+    EncodingType::kHuffman,   EncodingType::kFastPFor,
+    EncodingType::kFastBP128, EncodingType::kBitShuffle,
+    EncodingType::kChunked,
+};
+
+bool IsFormulaPriced(EncodingType t) {
+  switch (t) {
+    case EncodingType::kConstant:
+    case EncodingType::kFixedBitWidth:
+    case EncodingType::kForDelta:
+    case EncodingType::kFastBP128:
+    case EncodingType::kVarint:
+    case EncodingType::kZigZag:
+    case EncodingType::kTrivial:
+      return true;
+    default:
+      return false;
+  }
+}
+
+TEST(SelectionPricing, IntFormulasExactAndMinimumsBoundEveryCodec) {
+  CascadeOptions opts;
+  for (size_t n : kPricingLengths) {
+    for (const std::vector<int64_t>& v : PricingIntInputs(n)) {
+      IntBlockSizer sizer(v);
+      for (EncodingType t : kAllIntEncodings) {
+        CascadeContext ctx(opts, 1);
+        BufferBuilder out;
+        Status st = EncodeIntBlockAs(t, v, &ctx, &out);
+        std::optional<size_t> formula = sizer.BlockBytes(t);
+        if (!st.ok()) {
+          EXPECT_FALSE(formula.has_value()) << EncodingTypeName(t);
+          continue;
+        }
+        EXPECT_LE(MinBlockBytes<int64_t>(t, n), out.size())
+            << EncodingTypeName(t) << " n=" << n;
+        EXPECT_EQ(formula.has_value(), IsFormulaPriced(t)) << EncodingTypeName(t);
+        if (formula) {
+          EXPECT_EQ(*formula, out.size()) << EncodingTypeName(t) << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SelectionPricing, MinimumsBoundDoubleStringAndBoolCodecs) {
+  CascadeOptions opts;
+  for (size_t n : kPricingLengths) {
+    for (const char* kind : {"embeddings", "constantish", "specials", "decimal2"}) {
+      std::vector<double> v = GenDoubleData(kind, n, 3);
+      for (EncodingType t : kDoubleEncodings) {
+        CascadeContext ctx(opts, 1);
+        BufferBuilder out;
+        if (!EncodeDoubleBlockAs(t, v, &ctx, &out).ok()) continue;
+        EXPECT_LE(MinBlockBytes<double>(t, n), out.size())
+            << EncodingTypeName(t) << " n=" << n << " " << kind;
+        if (t == EncodingType::kTrivial) {
+          EXPECT_EQ(MinBlockBytes<double>(t, n), out.size());
+        }
+      }
+    }
+    for (const char* kind : {"low_cardinality", "with_empties", "binary_bytes"}) {
+      std::vector<std::string> v = GenStringData(kind, n, 4);
+      for (EncodingType t : kStringEncodings) {
+        CascadeContext ctx(opts, 1);
+        BufferBuilder out;
+        if (!EncodeStringBlockAs(t, v, &ctx, &out).ok()) continue;
+        EXPECT_LE(MinBlockBytes<std::string>(t, n), out.size())
+            << EncodingTypeName(t) << " n=" << n << " " << kind;
+      }
+    }
+    for (const char* kind : {"sparse", "all_zero", "all_one", "runs"}) {
+      std::vector<uint8_t> v = GenBoolData(kind, n, 5);
+      for (EncodingType t : kBoolEncodings) {
+        CascadeContext ctx(opts, 1);
+        BufferBuilder out;
+        if (!EncodeBoolBlockAs(t, v, &ctx, &out).ok()) continue;
+        EXPECT_LE(MinBlockBytes<uint8_t>(t, n), out.size())
+            << EncodingTypeName(t) << " n=" << n << " " << kind;
+      }
+    }
+  }
+  // A strings block of only empty strings deflates nothing.
+  std::vector<std::string> empties(100);
+  CascadeContext ctx(opts, 1);
+  BufferBuilder out;
+  ASSERT_TRUE(EncodeStringBlockAs(EncodingType::kChunked, empties, &ctx, &out).ok());
+  EXPECT_LE(MinBlockBytes<std::string>(EncodingType::kChunked, 100), out.size());
+}
+
 TEST(Stats, IntStatsBasics) {
   std::vector<int64_t> v = {3, 3, 3, 7, 7, -1};
   IntStats s = ComputeIntStats(v);

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "encoding/cascade.h"
 #include "format/page.h"
+#include "workload/ads_schema.h"
 
 namespace bullion {
 namespace {
@@ -85,6 +87,50 @@ TEST(DeletableEncoding, RleSuppressedWhenDisallowed) {
       EncodeDeletableIntValues(runs, /*allow_rle=*/false, &out, &encoding)
           .ok());
   EXPECT_NE(static_cast<EncodingType>(encoding), EncodingType::kRle);
+}
+
+// Digest of every page EncodePage writes for a fixed seeded ads table,
+// under the options the writer uses (generic, sparse-delta for id
+// sequences, deletable for ints). Page sizes of 256 rows select on the
+// whole input; whole-column pages of list columns exceed
+// CascadeOptions::sample_values and select on a sample. The value was
+// recorded with the reference selector that trial-encoded every
+// candidate; selection speedups must leave every byte as it was. The
+// pages hold deflate streams (sparse-delta data, and any Chunked or
+// BitShuffle winner), so the value also assumes zlib's deflate output
+// at the default level; it was recorded with zlib 1.2.13.
+TEST(Page, GoldenAdsTableDigest) {
+  Schema schema = workload::BuildAdsSchema(0.01);
+  workload::AdsDataOptions dopts;
+  dopts.seq_length = 16;
+  constexpr size_t kRows = 1024;
+  std::vector<ColumnVector> cols =
+      workload::GenerateAdsData(schema, kRows, /*seed=*/11, dopts);
+  uint64_t digest = 0;
+  size_t pages = 0;
+  auto add = [&](const ColumnVector& col, size_t r0, size_t r1,
+                 const PageEncodeOptions& opts) {
+    auto page = EncodePage(col, r0, r1, opts);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    digest = HashCombine(digest, XxHash64(page->data.AsSlice()));
+    digest = HashCombine(digest, page->encoding);
+    ++pages;
+  };
+  for (const ColumnVector& col : cols) {
+    std::vector<PageEncodeOptions> variants(1);
+    if (col.domain() == ValueDomain::kInt && col.list_depth() == 1) {
+      variants.emplace_back().use_sparse_delta = true;
+    }
+    if (col.domain() == ValueDomain::kInt && col.list_depth() == 0) {
+      variants.emplace_back().deletable = true;
+    }
+    for (const PageEncodeOptions& opts : variants) {
+      for (size_t r0 = 0; r0 < kRows; r0 += 256) add(col, r0, r0 + 256, opts);
+      add(col, 0, kRows, opts);
+    }
+  }
+  EXPECT_GT(pages, 100u);
+  EXPECT_EQ(digest, 0xcdae448b31d5a919ull) << std::hex << digest;
 }
 
 TEST(Page, GenericIntPageRoundTrip) {

@@ -157,6 +157,39 @@ TEST(Robustness, CorruptEncodedBlocksFailCleanly) {
   }
 }
 
+// Hand-built sparse-delta blocks with negative lengths or ranges must
+// fail as Corruption. A head length of -1 used to wrap the bounds check
+// (data_pos + head + tail) to 0 and crash in vector::insert.
+TEST(Robustness, NegativeSparseDeltaLengthsRejected) {
+  auto block = [](std::vector<uint8_t> flags,
+                  std::vector<std::vector<int64_t>> int_children) {
+    CascadeOptions opts;
+    CascadeContext ctx(opts, 0);
+    BufferBuilder out;
+    WriteBlockHeader(EncodingType::kSparseDelta, flags.size(), &out);
+    EXPECT_TRUE(
+        EncodeBoolBlockAs(EncodingType::kTrivial, flags, &ctx, &out).ok());
+    // range starts, range ends, head lengths, tail lengths, data.
+    for (const std::vector<int64_t>& child : int_children) {
+      EXPECT_TRUE(
+          EncodeIntBlockAs(EncodingType::kTrivial, child, &ctx, &out).ok());
+    }
+    return out.Finish();
+  };
+  const Buffer cases[] = {
+      block({1}, {{0}, {0}, {-1}, {1}, {5}}),  // negative head length
+      block({1}, {{0}, {0}, {1}, {-1}, {5}}),  // negative tail length
+      block({0}, {{}, {}, {0}, {-1}, {5}}),    // negative base length
+      block({0, 1}, {{-1}, {0}, {0, 0}, {1, 0}, {5}}),  // negative start
+      block({0, 1}, {{0}, {}, {0, 0}, {1, 0}, {5}}),    // missing range end
+  };
+  for (const Buffer& b : cases) {
+    std::vector<int64_t> offsets, values;
+    Status st = DecodeSparseDeltaColumn(b.AsSlice(), &offsets, &values);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
+}
+
 TEST(Robustness, DeleteThenCompactThenDeleteAgain) {
   // Lifecycle stress: interleave deletes and compactions.
   InMemoryFileSystem fs;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/random.h"
 #include "encoding/cascade.h"
 #include "format/sparse_delta.h"
@@ -32,6 +34,99 @@ void MakeSlidingWindowData(size_t users, size_t events_per_user,
       values->insert(values->end(), win.begin(), win.end());
       offsets->push_back(static_cast<int64_t>(values->size()));
     }
+  }
+}
+
+// The quadratic reference scan: every alignment diagonal in shift
+// order, every run in start order, first longest run kept. Defines the
+// tie-break FindBestWindow must reproduce: longest run, then smallest
+// shift, then earliest start.
+WindowMatch OracleFindBestWindow(std::span<const int64_t> prev,
+                                 std::span<const int64_t> cur,
+                                 size_t min_overlap) {
+  WindowMatch best{false, 0, 0, 0, cur.size()};
+  if (prev.empty() || cur.empty()) return best;
+  size_t best_len = 0;
+  for (int64_t shift = -(static_cast<int64_t>(prev.size()) - 1);
+       shift < static_cast<int64_t>(cur.size()); ++shift) {
+    size_t p_begin = shift < 0 ? static_cast<size_t>(-shift) : 0;
+    size_t c_begin = shift > 0 ? static_cast<size_t>(shift) : 0;
+    size_t len = std::min(prev.size() - p_begin, cur.size() - c_begin);
+    size_t run = 0;
+    for (size_t k = 0; k < len; ++k) {
+      run = cur[c_begin + k] == prev[p_begin + k] ? run + 1 : 0;
+      if (run > best_len) {
+        best_len = run;
+        size_t start = k + 1 - run;
+        best.range_start = p_begin + start;
+        best.range_end = p_begin + start + run;
+        best.head_len = c_begin + start;
+        best.tail_len = cur.size() - (c_begin + start + run);
+      }
+    }
+  }
+  best.is_delta = best_len >= min_overlap;
+  if (!best.is_delta) best = WindowMatch{false, 0, 0, 0, cur.size()};
+  return best;
+}
+
+void ExpectSameAsOracle(const std::vector<int64_t>& prev,
+                        const std::vector<int64_t>& cur, size_t min_overlap) {
+  WindowMatch got = FindBestWindow(prev, cur, min_overlap);
+  WindowMatch want = OracleFindBestWindow(prev, cur, min_overlap);
+  EXPECT_EQ(got.is_delta, want.is_delta);
+  EXPECT_EQ(got.range_start, want.range_start);
+  EXPECT_EQ(got.range_end, want.range_end);
+  EXPECT_EQ(got.head_len, want.head_len);
+  EXPECT_EQ(got.tail_len, want.tail_len);
+}
+
+TEST(FindBestWindow, MatchesQuadraticOracleOnRandomInputs) {
+  Random rng(41);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<int64_t> prev(rng.Uniform(40));
+    std::vector<int64_t> cur(rng.Uniform(40));
+    // Small alphabets make many equal-length runs on many diagonals.
+    const int64_t alphabet = 1 + static_cast<int64_t>(rng.Uniform(4));
+    for (auto& v : prev) v = rng.UniformRange(0, alphabet);
+    for (auto& v : cur) v = rng.UniformRange(0, alphabet);
+    if (!prev.empty() && rng.Bernoulli(0.5)) {
+      // Embed a shifted slice of prev, as a sliding window does.
+      size_t s = rng.Uniform(prev.size());
+      size_t e = s + rng.Uniform(prev.size() - s + 1);
+      size_t at = rng.Uniform(cur.size() + 1);
+      cur.insert(cur.begin() + static_cast<std::ptrdiff_t>(at),
+                 prev.begin() + static_cast<std::ptrdiff_t>(s),
+                 prev.begin() + static_cast<std::ptrdiff_t>(e));
+    }
+    ExpectSameAsOracle(prev, cur, rng.Uniform(6));
+  }
+}
+
+TEST(FindBestWindow, MatchesQuadraticOracleOnAdversarialInputs) {
+  for (size_t p = 0; p <= 12; ++p) {
+    for (size_t c = 0; c <= 12; ++c) {
+      for (size_t min_overlap : {0, 1, 3, 8}) {
+        // All equal: every diagonal is one run as long as the diagonal.
+        ExpectSameAsOracle(std::vector<int64_t>(p, 7),
+                           std::vector<int64_t>(c, 7), min_overlap);
+        // Periodic: equal-length runs on every period-th diagonal.
+        for (int64_t period : {2, 3}) {
+          std::vector<int64_t> prev(p), cur(c);
+          for (size_t i = 0; i < p; ++i) prev[i] = static_cast<int64_t>(i) % period;
+          for (size_t i = 0; i < c; ++i) cur[i] = static_cast<int64_t>(i + 1) % period;
+          ExpectSameAsOracle(prev, cur, min_overlap);
+        }
+      }
+    }
+  }
+  // Equal-length runs on several diagonals, on both sides of the
+  // plateau, separated by values that never match.
+  std::vector<int64_t> prev = {1, 2, 3, -1, 1, 2, 3, -2, 1, 2, 3};
+  std::vector<int64_t> cur = {9, 1, 2, 3, 8, 8, 1, 2, 3};
+  for (size_t min_overlap : {0, 2, 3, 4}) {
+    ExpectSameAsOracle(prev, cur, min_overlap);
+    ExpectSameAsOracle(cur, prev, min_overlap);
   }
 }
 
