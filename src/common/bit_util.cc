@@ -58,6 +58,28 @@ void BitPlanes(const void* words, size_t n, std::vector<uint8_t>* planes) {
   }
 }
 
+void WordsFromPlanes(const uint8_t* planes, size_t n, void* words) {
+  const size_t plane_bytes = RoundUpToBytes(n);
+  auto* dst = static_cast<uint8_t*>(words);
+  // The transpose is its own inverse: byte g of planes 8k..8k+7 is an
+  // 8x8 bit matrix whose transpose is byte k of words 8g..8g+7.
+  for (size_t g = 0; g < plane_bytes; ++g) {
+    uint8_t group[64];
+    for (size_t k = 0; k < 8; ++k) {
+      const uint8_t* p = planes + 8 * k * plane_bytes + g;
+      uint64_t m = 0;
+      for (size_t t = 0; t < 8; ++t) {
+        m |= static_cast<uint64_t>(p[t * plane_bytes]) << (8 * t);
+      }
+      m = Transpose8x8(m);
+      for (size_t j = 0; j < 8; ++j) {
+        group[8 * j + k] = static_cast<uint8_t>(m >> (8 * j));
+      }
+    }
+    std::memcpy(dst + 64 * g, group, 8 * std::min<size_t>(8, n - 8 * g));
+  }
+}
+
 uint64_t GetPacked(Slice data, size_t idx, int width) {
   size_t bit_pos = idx * static_cast<size_t>(width);
   uint64_t v = 0;

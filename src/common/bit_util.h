@@ -104,6 +104,11 @@ void UnpackBits(Slice data, size_t n, int width, std::vector<uint64_t>* out);
 /// LSB-first. `planes` receives 64 such planes, plane 0 first.
 void BitPlanes(const void* words, size_t n, std::vector<uint8_t>* planes);
 
+/// Inverse of BitPlanes: rebuilds `n` 8-byte words at `words` (any
+/// alignment) from the 64 planes of RoundUpToBytes(n) bytes each at
+/// `planes`. Plane bits past `n` are ignored.
+void WordsFromPlanes(const uint8_t* planes, size_t n, void* words);
+
 /// Reads the value at index `idx` from a fixed-width packed buffer
 /// without decoding the rest (random access, used for in-place delete).
 uint64_t GetPacked(Slice data, size_t idx, int width);

@@ -128,8 +128,10 @@ Status ShardedTableWriter::Append(const std::vector<ColumnVector>& columns) {
     return Status::InvalidArgument("batch has wrong leaf count");
   }
   size_t rows = columns.empty() ? 0 : columns[0].num_rows();
-  for (const ColumnVector& c : columns) {
-    if (c.num_rows() != rows) {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    BULLION_RETURN_NOT_OK(
+        CheckColumnMatchesLeaf(schema_.leaves()[c], columns[c]));
+    if (columns[c].num_rows() != rows) {
       return Status::InvalidArgument("batch columns disagree on row count");
     }
   }
@@ -138,9 +140,7 @@ Status ShardedTableWriter::Append(const std::vector<ColumnVector>& columns) {
     size_t take = std::min<size_t>(options_.rows_per_group - pending_rows_,
                                    rows - row);
     for (size_t c = 0; c < columns.size(); ++c) {
-      for (size_t r = row; r < row + take; ++r) {
-        pending_batch_[c].AppendRowFrom(columns[c], static_cast<int64_t>(r));
-      }
+      pending_batch_[c].AppendRowRange(columns[c], row, row + take);
     }
     pending_rows_ += take;
     row += take;

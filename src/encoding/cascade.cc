@@ -423,28 +423,44 @@ Status EncodeDoubleBlockAs(EncodingType type, std::span<const double> values,
   }
 }
 
-Status DecodeDoubleBlock(SliceReader* in, std::vector<double>* out) {
-  BULLION_ASSIGN_OR_RETURN(BlockHeader header, ReadBlockHeader(in));
-  size_t n = header.count;
-  switch (header.type) {
+namespace {
+
+Status DecodeDoublePayloadInto(EncodingType type, SliceReader* in, size_t n,
+                               double* out) {
+  switch (type) {
     case EncodingType::kTrivial:
-      return floatcodec::DecodeTrivial(in, n, out);
+      return floatcodec::DecodeTrivialInto(in, n, out);
     case EncodingType::kGorilla:
-      return floatcodec::DecodeGorilla(in, n, out);
+      return floatcodec::DecodeGorillaInto(in, n, out);
     case EncodingType::kChimp:
-      return floatcodec::DecodeChimp(in, n, out);
+      return floatcodec::DecodeChimpInto(in, n, out);
     case EncodingType::kPseudodecimal:
-      return floatcodec::DecodePseudodecimal(in, n, out);
+      return floatcodec::DecodePseudodecimalInto(in, n, out);
     case EncodingType::kAlp:
-      return floatcodec::DecodeAlp(in, n, out);
+      return floatcodec::DecodeAlpInto(in, n, out);
     case EncodingType::kChunked:
-      return floatcodec::DecodeChunked(in, n, out);
+      return floatcodec::DecodeChunkedInto(in, n, out);
     case EncodingType::kBitShuffle:
-      return floatcodec::DecodeBitShuffle(in, n, out);
+      return floatcodec::DecodeBitShuffleInto(in, n, out);
     default:
       return Status::Corruption("unexpected encoding in double block: " +
-                                std::string(EncodingTypeName(header.type)));
+                                std::string(EncodingTypeName(type)));
   }
+}
+
+}  // namespace
+
+Status DecodeDoubleBlock(SliceReader* in, std::vector<double>* out) {
+  out->clear();
+  return DecodeDoubleBlockAppend(in, out);
+}
+
+Status DecodeDoubleBlockAppend(SliceReader* in, std::vector<double>* out) {
+  BULLION_ASSIGN_OR_RETURN(BlockHeader header, ReadBlockHeader(in));
+  size_t old_size = out->size();
+  out->resize(old_size + header.count);
+  return DecodeDoublePayloadInto(header.type, in, header.count,
+                                 out->data() + old_size);
 }
 
 Status EncodeStringBlockAs(EncodingType type,

@@ -90,6 +90,9 @@ Status DecodeIntBlockInto(SliceReader* in, std::span<int64_t> out);
 /// decode land values directly in ColumnVector storage.
 Status DecodeIntBlockAppend(SliceReader* in, std::vector<int64_t>* out);
 
+/// The double-domain twin of DecodeIntBlockAppend.
+Status DecodeDoubleBlockAppend(SliceReader* in, std::vector<double>* out);
+
 // ---------------------------------------------------------------------------
 // Cascade entry points: select + encode.
 // ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ Status Compress(Slice input, std::vector<uint8_t>* out) {
   return Status::OK();
 }
 
-Status Decompress(Slice input, size_t raw_size, std::vector<uint8_t>* out) {
-  out->resize(raw_size);
+Status Decompress(Slice input, size_t raw_size, uint8_t* out) {
   uLongf dest_len = static_cast<uLongf>(raw_size);
-  int rc = uncompress(out->data(), &dest_len, input.data(),
+  int rc = uncompress(out, &dest_len, input.data(),
                       static_cast<uLong>(input.size()));
   if (rc != Z_OK || dest_len != raw_size) {
     return Status::Corruption("inflate failed: " + std::to_string(rc));
@@ -47,8 +46,12 @@ Status CompressChunked(Slice input, BufferBuilder* out) {
   return Status::OK();
 }
 
-Status DecompressChunked(SliceReader* in, std::vector<uint8_t>* out) {
-  out->clear();
+namespace {
+
+/// Walks the chunk framing, inflating chunk i into `dest(raw_len)`,
+/// which returns where its raw bytes go, or nullptr to reject them.
+template <typename Dest>
+Status InflateChunks(SliceReader* in, Dest dest) {
   Slice rest = in->ReadBytes(in->remaining());
   size_t pos = 0;
   uint64_t n_chunks;
@@ -67,13 +70,41 @@ Status DecompressChunked(SliceReader* in, std::vector<uint8_t>* out) {
     if (rest.size() - pos < comp_len) {
       return Status::Corruption("chunked: chunk payload truncated");
     }
-    std::vector<uint8_t> raw;
+    uint8_t* raw = dest(static_cast<size_t>(raw_len));
+    if (raw == nullptr) {
+      return Status::Corruption("chunked: raw bytes exceed destination");
+    }
     BULLION_RETURN_NOT_OK(
-        Decompress(rest.SubSlice(pos, comp_len), raw_len, &raw));
+        Decompress(rest.SubSlice(pos, comp_len), raw_len, raw));
     pos += comp_len;
-    out->insert(out->end(), raw.begin(), raw.end());
   }
   in->Seek(in->position() - rest.size() + pos);
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DecompressChunked(SliceReader* in, std::vector<uint8_t>* out) {
+  out->clear();
+  return InflateChunks(in, [out](size_t raw_len) {
+    const size_t old_size = out->size();
+    out->resize(old_size + raw_len);
+    return out->data() + old_size;
+  });
+}
+
+Status DecompressChunkedInto(SliceReader* in, std::span<uint8_t> out) {
+  size_t done = 0;
+  BULLION_RETURN_NOT_OK(
+      InflateChunks(in, [out, &done](size_t raw_len) -> uint8_t* {
+        if (raw_len > out.size() - done) return nullptr;
+        uint8_t* raw = out.data() + done;
+        done += raw_len;
+        return raw;
+      }));
+  if (done != out.size()) {
+    return Status::Corruption("chunked: raw bytes short of destination");
+  }
   return Status::OK();
 }
 

@@ -71,13 +71,12 @@ Status EncodeTrivial(std::span<const double> v, BufferBuilder* out) {
   return Status::OK();
 }
 
-Status DecodeTrivial(SliceReader* in, size_t n, std::vector<double>* out) {
+Status DecodeTrivialInto(SliceReader* in, size_t n, double* out) {
   if (in->remaining() < n * sizeof(double)) {
     return Status::Corruption("float trivial payload truncated");
   }
   Slice bytes = in->ReadBytes(n * sizeof(double));
-  out->resize(n);
-  std::memcpy(out->data(), bytes.data(), bytes.size());
+  if (n > 0) std::memcpy(out, bytes.data(), bytes.size());
   return Status::OK();
 }
 
@@ -106,10 +105,7 @@ Status EncodePseudodecimal(std::span<const double> v, BufferBuilder* out) {
   return Status::OK();
 }
 
-Status DecodePseudodecimal(SliceReader* in, size_t n,
-                           std::vector<double>* out) {
-  out->clear();
-  out->reserve(n);
+Status DecodePseudodecimalInto(SliceReader* in, size_t n, double* out) {
   Slice rest = in->ReadBytes(in->remaining());
   size_t pos = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -123,8 +119,7 @@ Status DecodePseudodecimal(SliceReader* in, size_t n,
       if (!varint::GetVarint64(rest, &pos, &zz)) {
         return Status::Corruption("pseudodecimal mantissa truncated");
       }
-      out->push_back(static_cast<double>(varint::ZigZagDecode(zz)) /
-                     kPow10[e]);
+      out[i] = static_cast<double>(varint::ZigZagDecode(zz)) / kPow10[e];
     } else {
       if (rest.size() - pos < 8) {
         return Status::Corruption("pseudodecimal raw truncated");
@@ -132,7 +127,7 @@ Status DecodePseudodecimal(SliceReader* in, size_t n,
       uint64_t bits;
       std::memcpy(&bits, rest.data() + pos, 8);
       pos += 8;
-      out->push_back(BitsToDouble(bits));
+      out[i] = BitsToDouble(bits);
     }
   }
   in->Seek(in->position() - rest.size() + pos);
@@ -167,7 +162,7 @@ Status EncodeAlp(std::span<const double> v, CascadeContext* ctx,
   return Status::OK();
 }
 
-Status DecodeAlp(SliceReader* in, size_t n, std::vector<double>* out) {
+Status DecodeAlpInto(SliceReader* in, size_t n, double* out) {
   if (in->remaining() < 1) return Status::Corruption("alp header truncated");
   int e = in->Read<uint8_t>();
   if (e > 18) return Status::Corruption("alp exponent out of range");
@@ -183,9 +178,8 @@ Status DecodeAlp(SliceReader* in, size_t n, std::vector<double>* out) {
   BULLION_RETURN_NOT_OK(DecodeIntBlock(in, &mantissas));
   if (mantissas.size() != n) return Status::Corruption("alp child count");
 
-  out->resize(n);
   for (size_t i = 0; i < n; ++i) {
-    (*out)[i] = static_cast<double>(mantissas[i]) / kPow10[e];
+    out[i] = static_cast<double>(mantissas[i]) / kPow10[e];
   }
 
   rest = in->ReadBytes(in->remaining());
@@ -199,7 +193,7 @@ Status DecodeAlp(SliceReader* in, size_t n, std::vector<double>* out) {
     uint64_t bits;
     std::memcpy(&bits, rest.data() + pos, 8);
     pos += 8;
-    (*out)[idx] = BitsToDouble(bits);
+    out[idx] = BitsToDouble(bits);
   }
   in->Seek(in->position() - rest.size() + pos);
   return Status::OK();
@@ -212,15 +206,10 @@ Status EncodeChunked(std::span<const double> v, BufferBuilder* out) {
       out);
 }
 
-Status DecodeChunked(SliceReader* in, size_t n, std::vector<double>* out) {
-  std::vector<uint8_t> raw;
-  BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &raw));
-  if (raw.size() != n * sizeof(double)) {
-    return Status::Corruption("chunked double payload size mismatch");
-  }
-  out->resize(n);
-  std::memcpy(out->data(), raw.data(), raw.size());
-  return Status::OK();
+Status DecodeChunkedInto(SliceReader* in, size_t n, double* out) {
+  return deflate_util::DecompressChunkedInto(
+      in, std::span<uint8_t>(reinterpret_cast<uint8_t*>(out),
+                             n * sizeof(double)));
 }
 
 Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out) {
@@ -230,22 +219,13 @@ Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out) {
                                        out);
 }
 
-Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<double>* out) {
+Status DecodeBitShuffleInto(SliceReader* in, size_t n, double* out) {
   std::vector<uint8_t> planes;
   BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &planes));
-  size_t plane_bytes = (n + 7) / 8;
-  if (planes.size() != plane_bytes * 64) {
+  if (planes.size() != bit_util::RoundUpToBytes(n) * 64) {
     return Status::Corruption("float bitshuffle plane size mismatch");
   }
-  std::vector<uint64_t> bits(n, 0);
-  for (int b = 0; b < 64; ++b) {
-    const uint8_t* plane = planes.data() + static_cast<size_t>(b) * plane_bytes;
-    for (size_t i = 0; i < n; ++i) {
-      if ((plane[i >> 3] >> (i & 7)) & 1) bits[i] |= 1ull << b;
-    }
-  }
-  out->resize(n);
-  for (size_t i = 0; i < n; ++i) (*out)[i] = BitsToDouble(bits[i]);
+  bit_util::WordsFromPlanes(planes.data(), n, out);
   return Status::OK();
 }
 

@@ -76,8 +76,7 @@ Status EncodeGorilla(std::span<const double> v, BufferBuilder* out) {
   return Status::OK();
 }
 
-Status DecodeGorilla(SliceReader* in, size_t n, std::vector<double>* out) {
-  out->clear();
+Status DecodeGorillaInto(SliceReader* in, size_t n, double* out) {
   if (n == 0) return Status::OK();
   Slice rest = in->ReadBytes(in->remaining());
   size_t pos = 0;
@@ -92,14 +91,13 @@ Status DecodeGorilla(SliceReader* in, size_t n, std::vector<double>* out) {
   BitReader br(rest.SubSlice(pos, byte_count));
   pos += byte_count;
 
-  out->reserve(n);
   uint64_t prev = br.Read(64);
-  out->push_back(BitsToDouble(prev));
+  out[0] = BitsToDouble(prev);
   int win_leading = 0;
   int win_sig_len = 0;
   for (size_t i = 1; i < n; ++i) {
     if (!br.ReadBit()) {
-      out->push_back(BitsToDouble(prev));
+      out[i] = BitsToDouble(prev);
       continue;
     }
     if (br.ReadBit()) {
@@ -111,7 +109,7 @@ Status DecodeGorilla(SliceReader* in, size_t n, std::vector<double>* out) {
     uint64_t sig = br.Read(win_sig_len);
     uint64_t x = sig << trailing;
     prev ^= x;
-    out->push_back(BitsToDouble(prev));
+    out[i] = BitsToDouble(prev);
   }
   in->Seek(in->position() - rest.size() + pos);
   return Status::OK();
@@ -182,8 +180,7 @@ Status EncodeChimp(std::span<const double> v, BufferBuilder* out) {
   return Status::OK();
 }
 
-Status DecodeChimp(SliceReader* in, size_t n, std::vector<double>* out) {
-  out->clear();
+Status DecodeChimpInto(SliceReader* in, size_t n, double* out) {
   if (n == 0) return Status::OK();
   Slice rest = in->ReadBytes(in->remaining());
   size_t pos = 0;
@@ -198,9 +195,8 @@ Status DecodeChimp(SliceReader* in, size_t n, std::vector<double>* out) {
   BitReader br(rest.SubSlice(pos, byte_count));
   pos += byte_count;
 
-  out->reserve(n);
   uint64_t prev = br.Read(64);
-  out->push_back(BitsToDouble(prev));
+  out[0] = BitsToDouble(prev);
   int bucket = 0;
   for (size_t i = 1; i < n; ++i) {
     uint64_t flag = br.Read(2);
@@ -226,7 +222,7 @@ Status DecodeChimp(SliceReader* in, size_t n, std::vector<double>* out) {
       }
     }
     prev ^= x;
-    out->push_back(BitsToDouble(prev));
+    out[i] = BitsToDouble(prev);
   }
   in->Seek(in->position() - rest.size() + pos);
   return Status::OK();

@@ -191,20 +191,10 @@ Status EncodeBitShuffle(std::span<const int64_t> v, BufferBuilder* out) {
 Status DecodeBitShuffleInto(SliceReader* in, size_t n, int64_t* out) {
   std::vector<uint8_t> planes;
   BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &planes));
-  size_t plane_bytes = (n + 7) / 8;
-  if (planes.size() != plane_bytes * 64) {
+  if (planes.size() != bit_util::RoundUpToBytes(n) * 64) {
     return Status::Corruption("bitshuffle plane size mismatch");
   }
-  std::fill_n(out, n, 0);
-  for (int b = 0; b < 64; ++b) {
-    const uint8_t* plane = planes.data() + static_cast<size_t>(b) * plane_bytes;
-    for (size_t i = 0; i < n; ++i) {
-      if ((plane[i >> 3] >> (i & 7)) & 1) {
-        out[i] = static_cast<int64_t>(static_cast<uint64_t>(out[i]) |
-                                      (1ull << b));
-      }
-    }
-  }
+  bit_util::WordsFromPlanes(planes.data(), n, out);
   return Status::OK();
 }
 
@@ -216,13 +206,9 @@ Status EncodeChunked(std::span<const int64_t> v, BufferBuilder* out) {
 }
 
 Status DecodeChunkedInto(SliceReader* in, size_t n, int64_t* out) {
-  std::vector<uint8_t> raw;
-  BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &raw));
-  if (raw.size() != n * sizeof(int64_t)) {
-    return Status::Corruption("chunked int payload size mismatch");
-  }
-  if (n > 0) std::memcpy(out, raw.data(), raw.size());
-  return Status::OK();
+  return deflate_util::DecompressChunkedInto(
+      in, std::span<uint8_t>(reinterpret_cast<uint8_t*>(out),
+                             n * sizeof(int64_t)));
 }
 
 }  // namespace intcodec

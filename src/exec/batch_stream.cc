@@ -599,8 +599,12 @@ Status BatchStream::MaterializeLateSlots(
     const ColumnRecord& rec = options_.fetch_records[w.slot];
     ColumnVector compact(static_cast<PhysicalType>(rec.physical),
                          rec.list_depth);
+    // The selection is ascending: gather each run's survivors at once.
+    std::vector<uint32_t> local;
     size_t ri = 0;
-    for (uint32_t r : selection) {
+    size_t i = 0;
+    while (i < selection.size()) {
+      const uint32_t r = selection[i];
       while (ri < w.runs.size() &&
              r >= w.runs[ri].row_begin + w.runs[ri].decoded.num_rows()) {
         ++ri;
@@ -608,9 +612,15 @@ Status BatchStream::MaterializeLateSlots(
       if (ri == w.runs.size() || r < w.runs[ri].row_begin) {
         return Status::Unknown("late materialization lost a surviving row");
       }
-      compact.AppendRowFrom(
-          w.runs[ri].decoded,
-          static_cast<int64_t>(r - w.runs[ri].row_begin));
+      const Run& run = w.runs[ri];
+      const size_t run_end = run.row_begin + run.decoded.num_rows();
+      local.clear();
+      for (; i < selection.size() && selection[i] >= run.row_begin &&
+             selection[i] < run_end;
+           ++i) {
+        local.push_back(selection[i] - run.row_begin);
+      }
+      compact.AppendRows(run.decoded, local);
     }
     fl->out[w.slot] = std::move(compact);
   }
@@ -701,13 +711,12 @@ Status BatchStream::EmitBatches(InFlight* fl) {
   // Bounded batches: slice the group's survivors.
   for (size_t b = 0; b < out_rows; b += options_.batch_rows) {
     size_t e = std::min(out_rows, b + static_cast<size_t>(options_.batch_rows));
-    std::vector<uint32_t> slice(e - b);
-    for (size_t r = b; r < e; ++r) slice[r - b] = static_cast<uint32_t>(r);
     RowBatch batch;
     batch.group = fl->unit->global_group;
     batch.columns.reserve(proj.size());
     for (const ColumnVector& col : proj) {
-      BULLION_ASSIGN_OR_RETURN(ColumnVector part, col.Permute(slice));
+      ColumnVector part(col.physical(), col.list_depth());
+      part.AppendRowRange(col, b, e);
       batch.columns.push_back(std::move(part));
     }
     ready_.push_back(std::move(batch));

@@ -23,206 +23,148 @@ bool ColumnVector::SameValidity(const ColumnVector& o) const {
 void ColumnVector::AppendNullRow() {
   const size_t rows_before = num_rows();
   EnsureValidity();
-  AppendRowFrom(*this, -1);  // zero/empty placeholder
+  AppendPlaceholderRow();
   // EnsureValidity on a zero-row vector leaves the bitmap empty and the
   // placeholder append then skips it; resize covers both shapes.
   validity_.resize(rows_before + 1);
   validity_[rows_before] = 0;
 }
 
+void ColumnVector::AppendPlaceholderRow() {
+  if (list_depth_ == 0) {
+    switch (domain()) {
+      case ValueDomain::kInt:
+        AppendInt(0);
+        break;
+      case ValueDomain::kReal:
+        AppendReal(0.0);
+        break;
+      case ValueDomain::kBinary:
+        AppendBinary("");
+        break;
+    }
+  } else {
+    // An empty list: its row ends where the level below ends now.
+    offsets_[0].push_back(
+        list_depth_ == 1 ? static_cast<int64_t>(LeafCount())
+                         : static_cast<int64_t>(offsets_[1].size()) - 1);
+  }
+  // Erased-row placeholders are valid zeros (the §2.1 realignment
+  // contract), not nulls.
+  if (!validity_.empty()) validity_.push_back(1);
+}
+
 Result<ColumnVector> ColumnVector::Permute(
     const std::vector<uint32_t>& perm) const {
-  ColumnVector out(physical_, list_depth_);
+  const size_t rows = num_rows();
   for (uint32_t src : perm) {
-    if (src >= num_rows()) {
+    if (src >= rows) {
       return Status::InvalidArgument("gather index out of range");
     }
-    if (IsNull(src)) {
-      out.EnsureValidity();
-      out.validity_.push_back(0);
-    } else if (!out.validity_.empty()) {
-      out.validity_.push_back(1);
-    }
-    switch (list_depth_) {
-      case 0:
-        switch (domain()) {
-          case ValueDomain::kInt:
-            out.AppendInt(int_values_[src]);
-            break;
-          case ValueDomain::kReal:
-            out.AppendReal(real_values_[src]);
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinary(bin_values_[src]);
-            break;
-        }
-        break;
-      case 1: {
-        auto [b, e] = ListRange(src);
-        switch (domain()) {
-          case ValueDomain::kInt:
-            out.AppendIntList(std::vector<int64_t>(int_values_.begin() + b,
-                                                   int_values_.begin() + e));
-            break;
-          case ValueDomain::kReal:
-            out.AppendRealList(std::vector<double>(real_values_.begin() + b,
-                                                   real_values_.begin() + e));
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinaryList(std::vector<std::string>(
-                bin_values_.begin() + b, bin_values_.begin() + e));
-            break;
-        }
-        break;
-      }
-      case 2: {
-        int64_t inner_b = offsets_[0][src];
-        int64_t inner_e = offsets_[0][src + 1];
-        std::vector<std::vector<int64_t>> row;
-        for (int64_t j = inner_b; j < inner_e; ++j) {
-          int64_t vb = offsets_[1][j];
-          int64_t ve = offsets_[1][j + 1];
-          row.push_back(std::vector<int64_t>(int_values_.begin() + vb,
-                                             int_values_.begin() + ve));
-        }
-        out.AppendIntListList(row);
-        break;
-      }
-      default:
-        return Status::NotImplemented("list depth > 2");
-    }
   }
+  ColumnVector out(physical_, list_depth_);
+  out.AppendRows(*this, perm);
   return out;
+}
+
+void ColumnVector::AppendValidity(const ColumnVector& src, size_t begin,
+                                  size_t end) {
+  const auto from = src.validity_.begin();
+  if (validity_.empty()) {
+    if (src.validity_.empty() ||
+        std::find(from + begin, from + end, 0) == from + end) {
+      return;
+    }
+    EnsureValidity();
+  }
+  if (src.validity_.empty()) {
+    validity_.resize(validity_.size() + (end - begin), 1);
+  } else {
+    validity_.insert(validity_.end(), from + begin, from + end);
+  }
+}
+
+namespace {
+
+/// Appends rows [begin, end) of a list hierarchy of `depth` levels:
+/// each level's offsets are rebased onto the destination's item count
+/// at the level below, then the leaf values they span are copied once.
+template <typename T>
+void AppendRun(const std::vector<std::vector<int64_t>>& src_offsets,
+               const std::vector<T>& src_values, int depth, size_t begin,
+               size_t end, std::vector<std::vector<int64_t>>* offsets,
+               std::vector<T>* values) {
+  size_t lo = begin;
+  size_t hi = end;
+  for (int level = 0; level < depth; ++level) {
+    const std::vector<int64_t>& from = src_offsets[level];
+    std::vector<int64_t>& to = (*offsets)[level];
+    const int64_t below =
+        level + 1 < depth
+            ? static_cast<int64_t>((*offsets)[level + 1].size()) - 1
+            : static_cast<int64_t>(values->size());
+    const int64_t shift = below - from[lo];
+    const size_t at = to.size();
+    to.resize(at + (hi - lo));
+    for (size_t i = lo; i < hi; ++i) to[at + (i - lo)] = from[i + 1] + shift;
+    lo = static_cast<size_t>(from[lo]);
+    hi = static_cast<size_t>(from[hi]);
+  }
+  values->insert(values->end(), src_values.begin() + lo,
+                 src_values.begin() + hi);
+}
+
+}  // namespace
+
+void ColumnVector::AppendRowRange(const ColumnVector& src, size_t begin,
+                                  size_t end) {
+  if (begin >= end) return;
+  AppendValidity(src, begin, end);
+  switch (domain()) {
+    case ValueDomain::kInt:
+      AppendRun(src.offsets_, src.int_values_, list_depth_, begin, end,
+                &offsets_, &int_values_);
+      break;
+    case ValueDomain::kReal:
+      AppendRun(src.offsets_, src.real_values_, list_depth_, begin, end,
+                &offsets_, &real_values_);
+      break;
+    case ValueDomain::kBinary:
+      AppendRun(src.offsets_, src.bin_values_, list_depth_, begin, end,
+                &offsets_, &bin_values_);
+      break;
+  }
+}
+
+void ColumnVector::AppendRows(const ColumnVector& src,
+                              std::span<const uint32_t> rows) {
+  size_t i = 0;
+  while (i < rows.size()) {
+    size_t j = i + 1;
+    while (j < rows.size() &&
+           rows[j] == static_cast<size_t>(rows[j - 1]) + 1) {
+      ++j;
+    }
+    AppendRowRange(src, rows[i], static_cast<size_t>(rows[i]) + (j - i));
+    i = j;
+  }
+}
+
+void ColumnVector::ShrinkToFit() {
+  for (auto& level : offsets_) level.shrink_to_fit();
+  int_values_.shrink_to_fit();
+  real_values_.shrink_to_fit();
+  bin_values_.shrink_to_fit();
+  validity_.shrink_to_fit();
 }
 
 void ColumnVector::AppendRowFrom(const ColumnVector& src, int64_t src_row) {
   if (src_row < 0) {
-    // Placeholder for a physically removed row.
-    switch (list_depth_) {
-      case 0:
-        switch (domain()) {
-          case ValueDomain::kInt:
-            AppendInt(0);
-            break;
-          case ValueDomain::kReal:
-            AppendReal(0.0);
-            break;
-          case ValueDomain::kBinary:
-            AppendBinary("");
-            break;
-        }
-        break;
-      case 1:
-        switch (domain()) {
-          case ValueDomain::kInt:
-            AppendIntList({});
-            break;
-          case ValueDomain::kReal:
-            AppendRealList({});
-            break;
-          case ValueDomain::kBinary:
-            AppendBinaryList({});
-            break;
-        }
-        break;
-      default:
-        AppendIntListList({});
-        break;
-    }
-    // Erased-row placeholders are valid zeros (the §2.1 realignment
-    // contract), not nulls.
-    if (!validity_.empty()) validity_.push_back(1);
+    AppendPlaceholderRow();  // stands in for a physically removed row
     return;
   }
-  size_t r = static_cast<size_t>(src_row);
-  if (src.IsNull(r)) {
-    EnsureValidity();
-    validity_.push_back(0);
-  } else if (!validity_.empty()) {
-    validity_.push_back(1);
-  }
-  switch (list_depth_) {
-    case 0:
-      switch (domain()) {
-        case ValueDomain::kInt:
-          AppendInt(src.int_values_[r]);
-          break;
-        case ValueDomain::kReal:
-          AppendReal(src.real_values_[r]);
-          break;
-        case ValueDomain::kBinary:
-          AppendBinary(src.bin_values_[r]);
-          break;
-      }
-      break;
-    case 1: {
-      auto [b, e] = src.ListRange(r);
-      switch (domain()) {
-        case ValueDomain::kInt:
-          AppendIntList(std::vector<int64_t>(src.int_values_.begin() + b,
-                                             src.int_values_.begin() + e));
-          break;
-        case ValueDomain::kReal:
-          AppendRealList(std::vector<double>(src.real_values_.begin() + b,
-                                             src.real_values_.begin() + e));
-          break;
-        case ValueDomain::kBinary:
-          AppendBinaryList(std::vector<std::string>(
-              src.bin_values_.begin() + b, src.bin_values_.begin() + e));
-          break;
-      }
-      break;
-    }
-    default: {
-      int64_t ib = src.offsets_[0][r];
-      int64_t ie = src.offsets_[0][r + 1];
-      std::vector<std::vector<int64_t>> row;
-      for (int64_t j = ib; j < ie; ++j) {
-        int64_t vb = src.offsets_[1][j];
-        int64_t ve = src.offsets_[1][j + 1];
-        row.push_back(std::vector<int64_t>(src.int_values_.begin() + vb,
-                                           src.int_values_.begin() + ve));
-      }
-      AppendIntListList(row);
-      break;
-    }
-  }
-}
-
-void ColumnVector::AppendAllFrom(const ColumnVector& src) {
-  // Bulk-append the value and offset arrays directly: concatenating
-  // per-group decodes must not re-copy row by row (ConcatColumn on a
-  // large column would double its allocations otherwise).
-  const size_t rows_before = num_rows();
-  if (!src.validity_.empty()) {
-    if (validity_.empty()) validity_.assign(rows_before, 1);
-    validity_.insert(validity_.end(), src.validity_.begin(),
-                     src.validity_.end());
-  } else if (!validity_.empty()) {
-    validity_.resize(validity_.size() + src.num_rows(), 1);
-  }
-  int64_t leaf_base = static_cast<int64_t>(LeafCount());
-  int_values_.insert(int_values_.end(), src.int_values_.begin(),
-                     src.int_values_.end());
-  real_values_.insert(real_values_.end(), src.real_values_.begin(),
-                      src.real_values_.end());
-  bin_values_.insert(bin_values_.end(), src.bin_values_.begin(),
-                     src.bin_values_.end());
-  if (list_depth_ == 0) return;
-  // Inner-most offsets index leaf values; outer levels index the
-  // items of the level below. Rebase each level by the item count it
-  // held before the append (offset arrays carry a leading 0 sentinel).
-  std::vector<int64_t> bases(list_depth_);
-  bases[list_depth_ - 1] = leaf_base;
-  for (int level = list_depth_ - 2; level >= 0; --level) {
-    bases[level] = static_cast<int64_t>(offsets_[level + 1].size()) - 1;
-  }
-  for (int level = 0; level < list_depth_; ++level) {
-    const auto& from = src.offsets_[level];
-    for (size_t i = 1; i < from.size(); ++i) {
-      offsets_[level].push_back(bases[level] + from[i]);
-    }
-  }
+  const size_t r = static_cast<size_t>(src_row);
+  AppendRowRange(src, r, r + 1);
 }
 
 namespace {

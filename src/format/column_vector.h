@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,15 @@ class ColumnVector {
   /// subset for survivor selection in delete-by-rewrite).
   Result<ColumnVector> Permute(const std::vector<uint32_t>& perm) const;
 
+  /// Appends rows [begin, end) of `src` (same physical type / list
+  /// depth, not *this): one copy of their value range plus their
+  /// offsets rebased onto this vector, with no per-row allocation.
+  void AppendRowRange(const ColumnVector& src, size_t begin, size_t end);
+
+  /// Appends rows src[rows[0]], src[rows[1]], ...: one AppendRowRange
+  /// per run of consecutive indices. Every index must be a row of `src`.
+  void AppendRows(const ColumnVector& src, std::span<const uint32_t> rows);
+
   /// Appends row `src_row` of `src` (same physical type / list depth).
   /// A negative src_row appends a zero/empty placeholder — used by the
   /// reader to stand in for physically erased rows (§2.1).
@@ -169,7 +179,13 @@ class ColumnVector {
   /// Appends every row of `src` (same physical type / list depth).
   /// Concatenating per-group decodes with this yields the same logical
   /// content as decoding sequentially into one vector.
-  void AppendAllFrom(const ColumnVector& src);
+  void AppendAllFrom(const ColumnVector& src) {
+    AppendRowRange(src, 0, src.num_rows());
+  }
+
+  /// Releases spare capacity. A vector gathered run by run grows by
+  /// the runs' sizes and can hold up to twice its values.
+  void ShrinkToFit();
 
   bool operator==(const ColumnVector& o) const {
     return physical_ == o.physical_ && list_depth_ == o.list_depth_ &&
@@ -185,6 +201,11 @@ class ColumnVector {
   bool SameValidity(const ColumnVector& o) const;
   /// Materializes validity_ as all-ones for the rows present so far.
   void EnsureValidity();
+  /// Appends the validity of rows [begin, end) of `src`, materializing
+  /// this bitmap only when one of them is null.
+  void AppendValidity(const ColumnVector& src, size_t begin, size_t end);
+  /// Appends a valid zero/empty row.
+  void AppendPlaceholderRow();
 
   PhysicalType physical_ = PhysicalType::kInt64;
   int list_depth_ = 0;

@@ -121,69 +121,12 @@ Status EncodeDeletableIntValues(std::span<const int64_t> values,
   return Status::OK();
 }
 
-namespace {
-
-/// Slices one row range out of a ColumnVector as a standalone batch.
-ColumnVector SliceRows(const ColumnVector& col, size_t row_begin,
-                       size_t row_end) {
-  ColumnVector out(col.physical(), col.list_depth());
-  for (size_t r = row_begin; r < row_end; ++r) {
-    switch (col.list_depth()) {
-      case 0:
-        switch (col.domain()) {
-          case ValueDomain::kInt:
-            out.AppendInt(col.int_values()[r]);
-            break;
-          case ValueDomain::kReal:
-            out.AppendReal(col.real_values()[r]);
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinary(col.bin_values()[r]);
-            break;
-        }
-        break;
-      case 1: {
-        auto [b, e] = col.ListRange(r);
-        switch (col.domain()) {
-          case ValueDomain::kInt:
-            out.AppendIntList(std::vector<int64_t>(
-                col.int_values().begin() + b, col.int_values().begin() + e));
-            break;
-          case ValueDomain::kReal:
-            out.AppendRealList(std::vector<double>(
-                col.real_values().begin() + b, col.real_values().begin() + e));
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinaryList(std::vector<std::string>(
-                col.bin_values().begin() + b, col.bin_values().begin() + e));
-            break;
-        }
-        break;
-      }
-      default: {
-        int64_t ib = col.offsets()[0][r];
-        int64_t ie = col.offsets()[0][r + 1];
-        std::vector<std::vector<int64_t>> row;
-        for (int64_t j = ib; j < ie; ++j) {
-          int64_t vb = col.offsets()[1][j];
-          int64_t ve = col.offsets()[1][j + 1];
-          row.push_back(std::vector<int64_t>(col.int_values().begin() + vb,
-                                             col.int_values().begin() + ve));
-        }
-        out.AppendIntListList(row);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<EncodedPage> EncodePage(const ColumnVector& col, size_t row_begin,
                                size_t row_end,
                                const PageEncodeOptions& options) {
-  ColumnVector page_rows = SliceRows(col, row_begin, row_end);
+  ColumnVector page_rows(col.physical(), col.list_depth());
+  page_rows.AppendRowRange(col, row_begin, row_end);
   uint32_t row_count = static_cast<uint32_t>(row_end - row_begin);
   BufferBuilder out;
 
@@ -253,6 +196,60 @@ Result<EncodedPage> EncodePage(const ColumnVector& col, size_t row_begin,
   return EncodedPage{out.Finish(), row_count, encoding};
 }
 
+namespace {
+
+/// Checks a page-local offset array: starts at 0, never decreases, and
+/// ends at most at `upper` (decoded bytes may be corrupt; see
+/// tests/robustness_test.cc).
+Status ValidateOffsets(const std::vector<int64_t>& offs, int64_t upper) {
+  if (offs.empty() || offs.front() != 0) {
+    return Status::Corruption("page offsets must start at 0");
+  }
+  for (size_t i = 1; i < offs.size(); ++i) {
+    if (offs[i] < offs[i - 1]) {
+      return Status::Corruption("page offsets not monotone");
+    }
+  }
+  if (offs.back() > upper) {
+    return Status::Corruption("page offsets exceed value count");
+  }
+  return Status::OK();
+}
+
+/// The page's values were just appended to `vals` from `base_vals` on;
+/// validates the page-local `offsets`, rebases them onto the rows of
+/// `out`, and drops values no row references (unreferenced padding).
+template <typename T>
+Status AppendPageLists(const std::vector<std::vector<int64_t>>& offsets,
+                       size_t base_vals, std::vector<T>* vals,
+                       ColumnVector* out) {
+  const int depth = static_cast<int>(offsets.size());
+  if (depth == 0) return Status::OK();
+  // Validate innermost first: each level indexes the items below it.
+  int64_t upper = static_cast<int64_t>(vals->size() - base_vals);
+  for (int level = depth - 1; level >= 0; --level) {
+    BULLION_RETURN_NOT_OK(ValidateOffsets(offsets[level], upper));
+    upper = static_cast<int64_t>(offsets[level].size()) - 1;
+  }
+  // Rows reference items [0, offsets[0].back()) of level 1, which
+  // reference the level below, down to the values.
+  size_t used = offsets[0].size() - 1;
+  std::vector<std::vector<int64_t>>& dest = out->mutable_offsets();
+  for (int level = 0; level < depth; ++level) {
+    const std::vector<int64_t>& from = offsets[level];
+    const int64_t base =
+        level + 1 < depth
+            ? static_cast<int64_t>(dest[level + 1].size()) - 1
+            : static_cast<int64_t>(base_vals);
+    for (size_t i = 1; i <= used; ++i) dest[level].push_back(base + from[i]);
+    used = static_cast<size_t>(from[used]);
+  }
+  vals->resize(base_vals + used);
+  return Status::OK();
+}
+
+}  // namespace
+
 Status DecodePage(Slice page, ColumnVector* out) {
   SliceReader in(page);
   if (in.remaining() < 1) return Status::Corruption("empty page");
@@ -262,30 +259,11 @@ Status DecodePage(Slice page, ColumnVector* out) {
     if (out->list_depth() != 1 || out->domain() != ValueDomain::kInt) {
       return Status::Corruption("sparse-delta page needs int list column");
     }
-    std::vector<int64_t> offsets, values;
-    BULLION_RETURN_NOT_OK(DecodeSparseDeltaColumn(
-        page.SubSlice(1, page.size() - 1), &offsets, &values));
-    if (offsets.empty() || offsets.front() != 0) {
-      return Status::Corruption("sparse-delta offsets must start at 0");
-    }
-    for (size_t r = 1; r < offsets.size(); ++r) {
-      if (offsets[r] < offsets[r - 1]) {
-        return Status::Corruption("sparse-delta offsets not monotone");
-      }
-    }
-    if (offsets.back() > static_cast<int64_t>(values.size())) {
-      return Status::Corruption("sparse-delta offsets exceed value count");
-    }
-    // Bulk move: values land in storage once; each row becomes one
-    // rebased offset entry instead of a per-row vector copy.
-    std::vector<int64_t>& vals = out->mutable_int_values();
-    const int64_t base_vals = static_cast<int64_t>(vals.size());
-    vals.insert(vals.end(), values.begin(), values.begin() + offsets.back());
-    std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-    for (size_t r = 1; r < offsets.size(); ++r) {
-      offs0.push_back(base_vals + offsets[r]);
-    }
-    return Status::OK();
+    // Rows are rebuilt straight in the destination's storage, with
+    // offsets already relative to it.
+    return DecodeSparseDeltaAppend(page.SubSlice(1, page.size() - 1),
+                                   &out->mutable_offsets()[0],
+                                   &out->mutable_int_values());
   }
   if (format != PageFormat::kGeneric) {
     return Status::Corruption("unknown page format");
@@ -301,105 +279,31 @@ Status DecodePage(Slice page, ColumnVector* out) {
     BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &offsets[level]));
   }
 
-  // Validate offset arrays before indexing through them (decoded bytes
-  // may be corrupt; see tests/robustness_test.cc).
-  auto validate_offsets = [](const std::vector<int64_t>& offs,
-                             int64_t upper) -> Status {
-    if (offs.empty() || offs.front() != 0) {
-      return Status::Corruption("page offsets must start at 0");
-    }
-    for (size_t i = 1; i < offs.size(); ++i) {
-      if (offs[i] < offs[i - 1]) {
-        return Status::Corruption("page offsets not monotone");
-      }
-    }
-    if (offs.back() > upper) {
-      return Status::Corruption("page offsets exceed value count");
-    }
-    return Status::OK();
-  };
-
-  // Values decode straight into the ColumnVector's backing storage
-  // (one resize, kernel decode into the tail); list structure is
-  // rebuilt by rebasing the page-local offsets onto the rows already
-  // present — no per-row vector materialization.
+  // Numeric values decode straight into the ColumnVector's backing
+  // storage (one resize, kernel decode into the tail); list structure
+  // is rebuilt by rebasing the page-local offsets onto the rows
+  // already present — no per-row vector materialization.
   switch (out->domain()) {
     case ValueDomain::kInt: {
       std::vector<int64_t>& vals = out->mutable_int_values();
       const size_t base_vals = vals.size();
       BULLION_RETURN_NOT_OK(DecodeIntBlockAppend(&in, &vals));
-      const int64_t n_vals = static_cast<int64_t>(vals.size() - base_vals);
-      if (depth == 2) {
-        BULLION_RETURN_NOT_OK(validate_offsets(offsets[1], n_vals));
-        BULLION_RETURN_NOT_OK(validate_offsets(
-            offsets[0], static_cast<int64_t>(offsets[1].size()) - 1));
-        // Rows reference inner lists [0, offsets[0].back()) which in
-        // turn reference values [0, offsets[1][used_inner]); anything
-        // past that is unreferenced padding — drop it, matching the
-        // row-wise decoder this replaces.
-        const int64_t used_inner = offsets[0].back();
-        const int64_t used_vals =
-            offsets[1][static_cast<size_t>(used_inner)];
-        vals.resize(base_vals + static_cast<size_t>(used_vals));
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        std::vector<int64_t>& offs1 = out->mutable_offsets()[1];
-        const int64_t base_inner = static_cast<int64_t>(offs1.size()) - 1;
-        for (int64_t j = 1; j <= used_inner; ++j) {
-          offs1.push_back(static_cast<int64_t>(base_vals) +
-                          offsets[1][static_cast<size_t>(j)]);
-        }
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(base_inner + offsets[0][r]);
-        }
-      } else if (depth == 1) {
-        BULLION_RETURN_NOT_OK(validate_offsets(offsets[0], n_vals));
-        vals.resize(base_vals + static_cast<size_t>(offsets[0].back()));
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(static_cast<int64_t>(base_vals) + offsets[0][r]);
-        }
-      }
-      break;
+      return AppendPageLists(offsets, base_vals, &vals, out);
     }
     case ValueDomain::kReal: {
-      std::vector<double> values;
-      BULLION_RETURN_NOT_OK(DecodeDoubleBlock(&in, &values));
       std::vector<double>& vals = out->mutable_real_values();
       const size_t base_vals = vals.size();
-      if (depth == 0) {
-        vals.insert(vals.end(), values.begin(), values.end());
-      } else {
-        BULLION_RETURN_NOT_OK(validate_offsets(
-            offsets[0], static_cast<int64_t>(values.size())));
-        vals.insert(vals.end(), values.begin(),
-                    values.begin() + offsets[0].back());
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(static_cast<int64_t>(base_vals) + offsets[0][r]);
-        }
-      }
-      break;
+      BULLION_RETURN_NOT_OK(DecodeDoubleBlockAppend(&in, &vals));
+      return AppendPageLists(offsets, base_vals, &vals, out);
     }
     case ValueDomain::kBinary: {
       std::vector<std::string> values;
       BULLION_RETURN_NOT_OK(DecodeStringBlock(&in, &values));
       std::vector<std::string>& vals = out->mutable_bin_values();
       const size_t base_vals = vals.size();
-      if (depth == 0) {
-        vals.insert(vals.end(), std::make_move_iterator(values.begin()),
-                    std::make_move_iterator(values.end()));
-      } else {
-        BULLION_RETURN_NOT_OK(validate_offsets(
-            offsets[0], static_cast<int64_t>(values.size())));
-        vals.insert(vals.end(), std::make_move_iterator(values.begin()),
-                    std::make_move_iterator(values.begin() +
-                                            offsets[0].back()));
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(static_cast<int64_t>(base_vals) + offsets[0][r]);
-        }
-      }
-      break;
+      vals.insert(vals.end(), std::make_move_iterator(values.begin()),
+                  std::make_move_iterator(values.end()));
+      return AppendPageLists(offsets, base_vals, &vals, out);
     }
   }
   return Status::OK();

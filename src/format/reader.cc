@@ -59,6 +59,65 @@ Status TableReader::DecodeChunkFromBuffer(uint32_t g, uint32_t c,
   return st;
 }
 
+namespace {
+
+/// Decodes one page straight into `out`, which must gain exactly the
+/// `expected` rows the footer records for it.
+Status DecodePageInPlace(Slice page, uint32_t expected, ColumnVector* out) {
+  const size_t before = out->num_rows();
+  BULLION_RETURN_NOT_OK(DecodePage(page, out));
+  if (out->num_rows() - before != expected) {
+    return Status::Corruption(
+        "page decoded " + std::to_string(out->num_rows() - before) +
+        " rows, footer records " + std::to_string(expected));
+  }
+  return Status::OK();
+}
+
+/// Copies a decoded page of a group with deleted rows into `out`.
+/// Row r of the page (group row row0 + r) is dropped when deleted and
+/// filtered; otherwise it is the next decoded row, or, when in-place
+/// deletion physically removed the deleted rows (a page shorter than
+/// its row count, §2.1 RLE path), a placeholder. Kept rows are copied
+/// in runs.
+Status RealignDeletedPage(const FooterView& f, uint32_t g, uint32_t row0,
+                          uint32_t expected, const ColumnVector& decoded,
+                          bool filter_deleted, ColumnVector* out) {
+  const size_t got = decoded.num_rows();
+  if (got > expected) {
+    return Status::Corruption("page decoded more rows than recorded");
+  }
+  const bool shortened = got < expected;
+  auto skipped = [&](uint32_t r) {
+    return (shortened || filter_deleted) && f.IsDeleted(g, row0 + r);
+  };
+  size_t ti = 0;  // next decoded row
+  uint32_t r = 0;
+  while (r < expected) {
+    if (skipped(r)) {
+      if (!shortened) {
+        ++ti;
+      } else if (!filter_deleted) {
+        out->AppendRowFrom(decoded, -1);
+      }
+      ++r;
+      continue;
+    }
+    uint32_t e = r + 1;
+    while (e < expected && !skipped(e)) ++e;
+    if (e - r > got - ti) {
+      return Status::Corruption("page realign: values exhausted");
+    }
+    out->AppendRowRange(decoded, ti, ti + (e - r));
+    ti += e - r;
+    r = e;
+  }
+  if (ti != got) return Status::Corruption("page realign: trailing values");
+  return Status::OK();
+}
+
+}  // namespace
+
 Status TableReader::DecodeChunkFromBufferImpl(uint32_t g, uint32_t c,
                                               Slice chunk_bytes,
                                               uint64_t chunk_file_offset,
@@ -70,6 +129,9 @@ Status TableReader::DecodeChunkFromBufferImpl(uint32_t g, uint32_t c,
   if (end_page > f.total_pages()) {
     return Status::Corruption("chunk pages exceed total pages");
   }
+  // With no deleted rows every page decodes straight into `out`; only
+  // groups with deletes go through a per-page temporary to realign.
+  const bool has_deletes = f.DeletedCount(g) != 0;
 
   uint32_t row0 = 0;  // group-relative first row of the current page
   for (uint32_t p = first_page; p < end_page; ++p) {
@@ -88,39 +150,22 @@ Status TableReader::DecodeChunkFromBufferImpl(uint32_t g, uint32_t c,
                                   std::to_string(p));
       }
     }
-    ColumnVector decoded(static_cast<PhysicalType>(rec.physical),
-                         rec.list_depth);
-    BULLION_RETURN_NOT_OK(DecodePage(page, &decoded));
-
-    uint32_t expected = f.page_row_count(p);
-    size_t got = decoded.num_rows();
-    if (got == expected) {
-      for (uint32_t r = 0; r < expected; ++r) {
-        if (options.filter_deleted && f.IsDeleted(g, row0 + r)) continue;
-        out->AppendRowFrom(decoded, static_cast<int64_t>(r));
-      }
-    } else if (got < expected) {
-      // Rows physically removed by in-place deletion (§2.1 RLE path):
-      // re-align using the deletion vector.
-      size_t ti = 0;
-      for (uint32_t r = 0; r < expected; ++r) {
-        if (f.IsDeleted(g, row0 + r)) {
-          if (!options.filter_deleted) out->AppendRowFrom(decoded, -1);
-          continue;
-        }
-        if (ti >= got) {
-          return Status::Corruption("page realign: values exhausted");
-        }
-        out->AppendRowFrom(decoded, static_cast<int64_t>(ti++));
-      }
-      if (ti != got) {
-        return Status::Corruption("page realign: trailing values");
-      }
+    const uint32_t expected = f.page_row_count(p);
+    if (!has_deletes) {
+      BULLION_RETURN_NOT_OK(DecodePageInPlace(page, expected, out));
     } else {
-      return Status::Corruption("page decoded more rows than recorded");
+      ColumnVector decoded(static_cast<PhysicalType>(rec.physical),
+                           rec.list_depth);
+      BULLION_RETURN_NOT_OK(DecodePage(page, &decoded));
+      BULLION_RETURN_NOT_OK(RealignDeletedPage(
+          f, g, row0, expected, decoded, options.filter_deleted, out));
     }
     row0 += expected;
   }
+  // The kept rows arrive in runs of any length, which can leave the
+  // columns with up to twice the capacity they use; a compaction holds
+  // several such groups in flight.
+  if (has_deletes) out->ShrinkToFit();
   return Status::OK();
 }
 
@@ -207,18 +252,10 @@ Status TableReader::DecodePageRun(uint32_t g, uint32_t c, uint32_t page_begin,
       return Status::Corruption("page checksum mismatch at page " +
                                 std::to_string(p));
     }
-    ColumnVector decoded(static_cast<PhysicalType>(rec.physical),
-                         rec.list_depth);
-    BULLION_RETURN_NOT_OK(DecodePage(page, &decoded));
-    if (decoded.num_rows() != f.page_row_count(p)) {
-      // In-place deletion shortened this page; the caller's no-deletes
-      // precondition does not hold, so positional row addressing would
-      // be wrong.
-      return Status::Corruption("page run decode hit a shortened page");
-    }
-    for (uint32_t r = 0; r < f.page_row_count(p); ++r) {
-      out->AppendRowFrom(decoded, static_cast<int64_t>(r));
-    }
+    // A page that decodes short was shortened by in-place deletion:
+    // the caller's no-deletes precondition does not hold, and
+    // positional row addressing would be wrong.
+    BULLION_RETURN_NOT_OK(DecodePageInPlace(page, f.page_row_count(p), out));
   }
   return Status::OK();
 }

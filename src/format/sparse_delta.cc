@@ -129,7 +129,7 @@ Result<Buffer> EncodeSparseDeltaColumn(std::span<const int64_t> offsets,
   return out.Finish();
 }
 
-Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
+Status DecodeSparseDeltaAppend(Slice block, std::vector<int64_t>* offsets,
                                std::vector<int64_t>* values) {
   SliceReader in(block);
   BULLION_ASSIGN_OR_RETURN(BlockHeader header, ReadBlockHeader(&in));
@@ -152,14 +152,13 @@ Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
     return Status::Corruption("sparse-delta metadata count mismatch");
   }
 
-  offsets->clear();
-  values->clear();
-  offsets->push_back(0);
   size_t data_pos = 0;
   size_t delta_idx = 0;
-  std::vector<int64_t> prev;
+  // The previous row is values[prev_begin, row_begin): a delta row
+  // copies its reused range from there, inside `values`.
+  size_t prev_begin = values->size();
   for (size_t r = 0; r < num_rows; ++r) {
-    std::vector<int64_t> cur;
+    const size_t row_begin = values->size();
     if (head_lens[r] < 0 || tail_lens[r] < 0) {
       return Status::Corruption("sparse-delta negative head/tail length");
     }
@@ -177,35 +176,42 @@ Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
       size_t s = static_cast<size_t>(range_starts[delta_idx]);
       size_t e = static_cast<size_t>(range_ends[delta_idx]);
       ++delta_idx;
-      if (s > e || e > prev.size()) {
+      if (s > e || e > row_begin - prev_begin) {
         return Status::Corruption("sparse-delta range out of bounds");
       }
       if (head > left || tail > left - head) {
         return Status::Corruption("sparse-delta data stream exhausted");
       }
-      cur.reserve(head + (e - s) + tail);
-      cur.insert(cur.end(), data.begin() + data_pos,
-                 data.begin() + data_pos + head);
-      data_pos += head;
-      cur.insert(cur.end(), prev.begin() + s, prev.begin() + e);
-      cur.insert(cur.end(), data.begin() + data_pos,
-                 data.begin() + data_pos + tail);
-      data_pos += tail;
+      // Resize first, so the previous row's storage is stable while
+      // its range is copied; it ends where the new row begins.
+      values->resize(row_begin + head + (e - s) + tail);
+      int64_t* dst = values->data() + row_begin;
+      dst = std::copy_n(data.data() + data_pos, head, dst);
+      dst = std::copy_n(values->data() + prev_begin + s, e - s, dst);
+      std::copy_n(data.data() + data_pos + head, tail, dst);
+      data_pos += head + tail;
     } else {
       if (tail > left) {
         return Status::Corruption("sparse-delta base stream exhausted");
       }
-      cur.assign(data.begin() + data_pos, data.begin() + data_pos + tail);
+      values->insert(values->end(), data.begin() + data_pos,
+                     data.begin() + data_pos + tail);
       data_pos += tail;
     }
-    values->insert(values->end(), cur.begin(), cur.end());
     offsets->push_back(static_cast<int64_t>(values->size()));
-    prev = std::move(cur);
+    prev_begin = row_begin;
   }
   if (delta_idx != range_starts.size() || data_pos != data.size()) {
     return Status::Corruption("sparse-delta trailing payload");
   }
   return Status::OK();
+}
+
+Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
+                               std::vector<int64_t>* values) {
+  offsets->assign(1, 0);
+  values->clear();
+  return DecodeSparseDeltaAppend(block, offsets, values);
 }
 
 }  // namespace bullion

@@ -46,7 +46,16 @@ Result<Buffer> EncodeSparseDeltaColumn(std::span<const int64_t> offsets,
                                        std::span<const int64_t> values,
                                        const SparseDeltaOptions& options = {});
 
-/// Decodes a column produced by EncodeSparseDeltaColumn.
+/// Decodes a column produced by EncodeSparseDeltaColumn, appending its
+/// rows: their values to `values` and, per row, the row's end position
+/// in `values` to `offsets`. Each row is built in place at the end of
+/// `values` (a delta row copies its reused range from the row before
+/// it there), so nothing is allocated per row.
+Status DecodeSparseDeltaAppend(Slice block, std::vector<int64_t>* offsets,
+                               std::vector<int64_t>* values);
+
+/// DecodeSparseDeltaAppend into fresh vectors: `offsets` becomes
+/// [0, end of row 0, ...] and `values` holds only this column's values.
 Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,
                                std::vector<int64_t>* values);
 

@@ -92,6 +92,19 @@ Status ValidateDeletableLeaves(const WriterOptions& options,
   return Status::OK();
 }
 
+Status CheckColumnMatchesLeaf(const LeafColumn& leaf,
+                              const ColumnVector& col) {
+  if (col.physical() == leaf.physical && col.list_depth() == leaf.list_depth) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "column '" + leaf.name + "' holds " +
+      std::string(PhysicalTypeName(col.physical())) + " at list depth " +
+      std::to_string(col.list_depth()) + ", its schema leaf is " +
+      std::string(PhysicalTypeName(leaf.physical)) + " at list depth " +
+      std::to_string(leaf.list_depth));
+}
+
 Result<StagedRowGroup> StageRowGroup(
     const Schema& schema, const WriterOptions& options,
     std::shared_ptr<const std::vector<ColumnVector>> columns) {
@@ -113,7 +126,9 @@ Result<StagedRowGroup> StageValidatedRowGroup(
         " leaves");
   }
   size_t rows = columns->empty() ? 0 : (*columns)[0].num_rows();
-  for (const ColumnVector& col : *columns) {
+  for (size_t c = 0; c < columns->size(); ++c) {
+    const ColumnVector& col = (*columns)[c];
+    BULLION_RETURN_NOT_OK(CheckColumnMatchesLeaf(schema.leaves()[c], col));
     if (col.num_rows() != rows) {
       return Status::InvalidArgument("row group columns disagree on rows");
     }

@@ -151,6 +151,11 @@ struct StagedRowGroup {
   size_t num_tasks() const { return tasks.size(); }
 };
 
+/// InvalidArgument unless `col` has `leaf`'s physical type and list
+/// depth; a batch is checked with this before any of its rows are
+/// copied or encoded.
+Status CheckColumnMatchesLeaf(const LeafColumn& leaf, const ColumnVector& col);
+
 /// Stage step: validates the batch against the schema/options, applies
 /// the quality sort (producing an owned sorted copy when enabled), and
 /// slices it into page-encode tasks. Pure metadata + sort work — no

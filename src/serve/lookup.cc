@@ -77,10 +77,7 @@ Result<LookupResult> LookupBuilder::Run() const {
       continue;
     }
     for (size_t c = 0; c < result.columns.size(); ++c) {
-      const ColumnVector& src = batch.columns[c];
-      for (size_t r = 0; r < src.num_rows(); ++r) {
-        result.columns[c].AppendRowFrom(src, static_cast<int64_t>(r));
-      }
+      result.columns[c].AppendAllFrom(batch.columns[c]);
     }
   }
   // A miss (every extent pruned) emits no batches; `columns` stays

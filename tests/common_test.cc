@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/bit_util.h"
@@ -218,6 +219,46 @@ TEST(BitUtil, BitPlanesMatchBitLoopReference) {
     bit_util::BitPlanes(words.data(), n, &got);
     EXPECT_EQ(got, want) << "n = " << n;
   }
+}
+
+TEST(BitUtil, WordsFromPlanesInvertsBitPlanesFromUnalignedSources) {
+  Random rng(11);
+  for (size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 4096, 8193}) {
+    std::vector<uint64_t> words(n);
+    for (auto& w : words) w = rng.Next() >> rng.Uniform(64);
+    if (n > 2) {
+      words[0] = 0;
+      words[1] = ~uint64_t{0};
+      words[2] = uint64_t{1} << 63;
+    }
+    // Offset every buffer by one byte so no access is 8-byte aligned.
+    // std::copy, unlike memcpy, accepts an empty vector's null data().
+    std::vector<uint8_t> src(n * 8 + 1);
+    const auto* word_bytes = reinterpret_cast<const uint8_t*>(words.data());
+    std::copy(word_bytes, word_bytes + n * 8, src.begin() + 1);
+    std::vector<uint8_t> planes;
+    bit_util::BitPlanes(src.data() + 1, n, &planes);
+    ASSERT_EQ(planes.size(), (n + 7) / 8 * 64) << "n = " << n;
+    std::vector<uint8_t> shifted(planes.size() + 1);
+    std::copy(planes.begin(), planes.end(), shifted.begin() + 1);
+    std::vector<uint8_t> dst(n * 8 + 1, 0xA5);
+    bit_util::WordsFromPlanes(shifted.data() + 1, n, dst.data() + 1);
+    std::vector<uint64_t> got(n);
+    std::copy(dst.begin() + 1, dst.end(),
+              reinterpret_cast<uint8_t*>(got.data()));
+    EXPECT_EQ(got, words) << "n = " << n;
+    EXPECT_EQ(dst[0], 0xA5) << "wrote before the destination, n = " << n;
+  }
+}
+
+TEST(BitUtil, WordsFromPlanesIgnoresPaddingBitsAndWritesOnlyNWords) {
+  // Planes whose bits past n are all set: the tail word stays untouched.
+  const size_t n = 9;
+  std::vector<uint8_t> planes(64 * 2, 0xFF);
+  std::vector<uint64_t> words(n + 1, 7);
+  bit_util::WordsFromPlanes(planes.data(), n, words.data());
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(words[i], ~uint64_t{0});
+  EXPECT_EQ(words[n], 7u);
 }
 
 TEST(Bitmap, SetGetCount) {

@@ -251,6 +251,47 @@ TEST(ShardedWriter, EmptyStreamMakesNoShards) {
   EXPECT_EQ(manifest->total_rows(), 0u);
 }
 
+TEST(ShardedWriter, RejectsBatchWhoseColumnsDoNotMatchTheirLeaves) {
+  InMemoryFileSystem fs;
+  std::vector<Field> fields;
+  fields.push_back({"blob", DataType::Primitive(PhysicalType::kBinary),
+                    LogicalType::kPlain, false});
+  Schema schema(std::move(fields));
+  ShardedWriterOptions opts;
+  opts.rows_per_group = 8;
+  opts.base_name = "t";
+  ShardedTableWriter writer(schema, opts, [&](const std::string& name) {
+    return fs.NewWritableFile(name);
+  });
+  std::vector<ColumnVector> ints;
+  ints.push_back(ColumnVector(PhysicalType::kInt64, 0));
+  for (int r = 0; r < 20; ++r) ints[0].AppendInt(r);
+  Status st = writer.Append(ints);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  std::vector<ColumnVector> lists;
+  lists.push_back(ColumnVector(PhysicalType::kBinary, 1));
+  lists[0].AppendBinaryList({"a", "b"});
+  EXPECT_EQ(writer.Append(lists).code(), StatusCode::kInvalidArgument);
+
+  // Nothing of the rejected batches was buffered.
+  std::vector<ColumnVector> blobs;
+  blobs.push_back(ColumnVector(PhysicalType::kBinary, 0));
+  for (int r = 0; r < 20; ++r) blobs[0].AppendBinary("v" + std::to_string(r));
+  ASSERT_TRUE(writer.Append(blobs).ok());
+  auto manifest = writer.Finish();
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->total_rows(), 20u);
+  auto reader = TableReader::Open(*fs.NewReadableFile(manifest->shard(0).name));
+  ASSERT_TRUE(reader.ok());
+  ColumnVector got(PhysicalType::kBinary, 0);
+  for (uint32_t g = 0; g < (*reader)->num_row_groups(); ++g) {
+    ColumnVector part;
+    ASSERT_TRUE((*reader)->ReadColumnChunk(g, 0, ReadOptions{}, &part).ok());
+    got.AppendAllFrom(part);
+  }
+  EXPECT_EQ(got, blobs[0]);
+}
+
 // ------------------------------------------------------- reader fixture
 
 /// Writes `total_rows` rows both as a sharded dataset and as one

@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <random>
 
 #include "common/random.h"
 #include "encoding/cascade.h"
+#include "encoding/deflate_util.h"
 #include "encoding/encoding.h"
 #include "encoding/stats.h"
 
@@ -624,6 +627,173 @@ TEST(Cascade, PeekEncodingType) {
   auto peek = PeekEncodingType(res->AsSlice());
   ASSERT_TRUE(peek.ok());
   EXPECT_EQ(*peek, EncodingType::kConstant);
+}
+
+// ---------------------------------------------------------------------------
+// Decode kernels: BitShuffle's transpose decode against the bit-at-a-time
+// decoder it replaced, and the chunked deflate framing.
+// ---------------------------------------------------------------------------
+
+/// The former BitShuffle decode: inflate the planes, then set one bit of
+/// one word per step. Returns the 64-bit words of the block.
+std::vector<uint64_t> BitAtATimeBitShuffle(Slice block) {
+  SliceReader in(block);
+  auto header = ReadBlockHeader(&in);
+  EXPECT_TRUE(header.ok());
+  EXPECT_EQ(header->type, EncodingType::kBitShuffle);
+  const size_t n = header->count;
+  std::vector<uint8_t> planes;
+  EXPECT_TRUE(deflate_util::DecompressChunked(&in, &planes).ok());
+  const size_t plane_bytes = (n + 7) / 8;
+  EXPECT_EQ(planes.size(), plane_bytes * 64);
+  std::vector<uint64_t> words(n, 0);
+  for (size_t b = 0; b < 64; ++b) {
+    for (size_t i = 0; i < n; ++i) {
+      if ((planes[b * plane_bytes + i / 8] >> (i % 8)) & 1) {
+        words[i] |= uint64_t{1} << b;
+      }
+    }
+  }
+  return words;
+}
+
+const size_t kBitShuffleLengths[] = {0, 1, 7, 8, 9, 63, 64, 65, 1000, 4099};
+
+TEST(BitShuffleDecode, IntMatchesBitAtATimeReference) {
+  Random rng(21);
+  for (size_t n : kBitShuffleLengths) {
+    std::vector<int64_t> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      switch (i % 6) {
+        case 0: v[i] = INT64_MIN; break;
+        case 1: v[i] = INT64_MAX; break;
+        case 2: v[i] = -1; break;
+        default: v[i] = static_cast<int64_t>(rng.Next() >> rng.Uniform(64));
+      }
+    }
+    CascadeContext ctx(CascadeOptions{}, 0);
+    BufferBuilder out;
+    ASSERT_TRUE(EncodeIntBlockAs(EncodingType::kBitShuffle, v, &ctx, &out).ok());
+    Buffer block = out.Finish();
+    std::vector<uint64_t> want = BitAtATimeBitShuffle(block.AsSlice());
+    std::vector<int64_t> got;
+    SliceReader in(block.AsSlice());
+    ASSERT_TRUE(DecodeIntBlock(&in, &got).ok()) << "n = " << n;
+    EXPECT_TRUE(in.AtEnd());
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(static_cast<uint64_t>(got[i]), want[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(got[i], v[i]);
+    }
+  }
+}
+
+TEST(BitShuffleDecode, DoubleMatchesBitAtATimeReference) {
+  Random rng(22);
+  const uint64_t nan_payloads[] = {0x7FF8000000000001ull, 0xFFF0000000000123ull,
+                                   0x7FF4000000000000ull};
+  for (size_t n : kBitShuffleLengths) {
+    std::vector<double> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t bits;
+      switch (i % 6) {
+        case 0: bits = nan_payloads[(i / 6) % 3]; break;
+        case 1: bits = 0x8000000000000000ull; break;  // -0.0
+        case 2: bits = 1 + rng.Uniform(0x000FFFFFFFFFFFFFull); break;  // denormal
+        case 3: bits = 0x800FFFFFFFFFFFFFull; break;  // negative denormal
+        default: bits = rng.Next();
+      }
+      std::memcpy(&v[i], &bits, 8);
+    }
+    CascadeContext ctx(CascadeOptions{}, 0);
+    BufferBuilder out;
+    ASSERT_TRUE(
+        EncodeDoubleBlockAs(EncodingType::kBitShuffle, v, &ctx, &out).ok());
+    Buffer block = out.Finish();
+    std::vector<uint64_t> want = BitAtATimeBitShuffle(block.AsSlice());
+    std::vector<double> got;
+    SliceReader in(block.AsSlice());
+    ASSERT_TRUE(DecodeDoubleBlock(&in, &got).ok()) << "n = " << n;
+    EXPECT_TRUE(in.AtEnd());
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t g, o;
+      std::memcpy(&g, &got[i], 8);
+      std::memcpy(&o, &v[i], 8);
+      ASSERT_EQ(g, want[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(g, o);
+    }
+  }
+}
+
+TEST(BitShuffleDecode, WrongPlaneSizeIsCorruption) {
+  for (bool real : {false, true}) {
+    for (size_t planes_for : {size_t{8}, size_t{24}}) {
+      // A block that claims 16 values but carries planes for another n.
+      std::vector<uint8_t> planes((planes_for + 7) / 8 * 64, 0x5A);
+      BufferBuilder out;
+      WriteBlockHeader(EncodingType::kBitShuffle, 16, &out);
+      ASSERT_TRUE(deflate_util::CompressChunked(
+                      Slice(planes.data(), planes.size()), &out)
+                      .ok());
+      Buffer block = out.Finish();
+      SliceReader in(block.AsSlice());
+      Status st;
+      if (real) {
+        std::vector<double> got;
+        st = DecodeDoubleBlock(&in, &got);
+      } else {
+        std::vector<int64_t> got;
+        st = DecodeIntBlock(&in, &got);
+      }
+      EXPECT_TRUE(st.IsCorruption()) << real << " " << st.ToString();
+    }
+  }
+}
+
+TEST(DeflateChunks, RoundTripAcrossChunksAndRejectTruncation) {
+  Random rng(23);
+  const size_t size = deflate_util::kChunkSize * 2 + 12345;
+  std::vector<uint8_t> raw(size);
+  for (size_t i = 0; i < size; ++i) {
+    raw[i] = static_cast<uint8_t>(i % 251 < 200 ? i % 7 : rng.Next());
+  }
+  BufferBuilder out;
+  ASSERT_TRUE(
+      deflate_util::CompressChunked(Slice(raw.data(), raw.size()), &out).ok());
+  Buffer framed = out.Finish();
+
+  std::vector<uint8_t> back = {1, 2, 3};  // replaced, not appended to
+  SliceReader in(framed.AsSlice());
+  ASSERT_TRUE(deflate_util::DecompressChunked(&in, &back).ok());
+  EXPECT_TRUE(in.AtEnd());
+  EXPECT_EQ(back, raw);
+
+  std::vector<uint8_t> into(size);
+  SliceReader in2(framed.AsSlice());
+  ASSERT_TRUE(deflate_util::DecompressChunkedInto(&in2, into).ok());
+  EXPECT_TRUE(in2.AtEnd());
+  EXPECT_EQ(into, raw);
+
+  // A destination of the wrong size is Corruption, never an overrun.
+  for (size_t wrong : {size - 1, size + 1, size_t{0}}) {
+    std::vector<uint8_t> dst(wrong);
+    SliceReader r(framed.AsSlice());
+    EXPECT_TRUE(deflate_util::DecompressChunkedInto(&r, dst).IsCorruption())
+        << wrong;
+  }
+  // Truncating the stream anywhere in its last chunk is Corruption.
+  for (size_t cut : {size_t{1}, size_t{17}, size_t{1000}}) {
+    Slice truncated = framed.AsSlice().SubSlice(0, framed.size() - cut);
+    std::vector<uint8_t> dst;
+    SliceReader r(truncated);
+    EXPECT_TRUE(deflate_util::DecompressChunked(&r, &dst).IsCorruption())
+        << cut;
+    std::vector<uint8_t> exact(size);
+    SliceReader r2(truncated);
+    EXPECT_TRUE(deflate_util::DecompressChunkedInto(&r2, exact).IsCorruption())
+        << cut;
+  }
 }
 
 // Statistics sanity.

@@ -11,6 +11,7 @@
 #include "format/schema.h"
 #include "format/writer.h"
 #include "io/file.h"
+#include "reference_read.h"
 
 namespace bullion {
 namespace {
@@ -370,6 +371,208 @@ TEST(WriterReader, ListOfListColumns) {
   ColumnVector col;
   ASSERT_TRUE(reader->ReadColumnChunk(0, 0, ropts, &col).ok());
   EXPECT_EQ(col, data[0]);
+}
+
+// ---------------------------------------------------------------------------
+// The typed gather (AppendRows / AppendRowRange) against a per-row
+// reference copy, and the in-place chunk and page-run decodes against
+// the former decode-into-a-temporary readers.
+// ---------------------------------------------------------------------------
+
+/// `rows` random rows of the given shape, no nulls: lists of 0..4
+/// items per level (so empty lists occur).
+ColumnVector MakeGatherRows(PhysicalType type, int depth, size_t rows,
+                            uint64_t seed) {
+  Random rng(seed);
+  ColumnVector col(type, depth);
+  auto push_value = [&]() {
+    switch (col.domain()) {
+      case ValueDomain::kInt:
+        col.mutable_int_values().push_back(rng.UniformRange(-1000, 1000));
+        break;
+      case ValueDomain::kReal:
+        col.mutable_real_values().push_back(rng.NextGaussian());
+        break;
+      case ValueDomain::kBinary:
+        col.mutable_bin_values().push_back(
+            std::string(rng.Uniform(40), static_cast<char>('a' + rng.Uniform(26))));
+        break;
+    }
+  };
+  auto& offs = col.mutable_offsets();
+  for (size_t r = 0; r < rows; ++r) {
+    if (depth == 0) {
+      push_value();
+      continue;
+    }
+    const size_t items = rng.Uniform(5);
+    for (size_t i = 0; i < items; ++i) {
+      if (depth == 1) {
+        push_value();
+        continue;
+      }
+      const size_t n = rng.Uniform(5);
+      for (size_t k = 0; k < n; ++k) push_value();
+      offs[1].push_back(static_cast<int64_t>(col.LeafCount()));
+    }
+    offs[0].push_back(depth == 1 ? static_cast<int64_t>(col.LeafCount())
+                                 : static_cast<int64_t>(offs[1].size()) - 1);
+  }
+  return col;
+}
+
+/// Expected content of gathering `rows` of `src` after `prefix` (rows
+/// of `src` too), one value at a time.
+ColumnVector ReferenceGather(const ColumnVector& src,
+                             const std::vector<uint32_t>& prefix,
+                             const std::vector<uint32_t>& rows) {
+  ColumnVector out(src.physical(), src.list_depth());
+  for (uint32_t r : prefix) reference::AppendRow(src, r, &out);
+  for (uint32_t r : rows) reference::AppendRow(src, r, &out);
+  return out;
+}
+
+void ExpectSameContent(const ColumnVector& got, const ColumnVector& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.offsets(), want.offsets()) << what;
+  EXPECT_EQ(got.int_values(), want.int_values()) << what;
+  EXPECT_EQ(got.real_values(), want.real_values()) << what;
+  EXPECT_EQ(got.bin_values(), want.bin_values()) << what;
+  EXPECT_EQ(got.num_rows(), want.num_rows()) << what;
+}
+
+TEST(Gather, MatchesPerRowReferenceAcrossDepthsTypesAndNulls) {
+  const PhysicalType types[] = {PhysicalType::kInt64, PhysicalType::kFloat64,
+                                PhysicalType::kBinary};
+  for (PhysicalType type : types) {
+    for (int depth = 0; depth <= 2; ++depth) {
+      const std::string shape = std::string(PhysicalTypeName(type)) +
+                                " depth " + std::to_string(depth);
+      const size_t n = 60;
+      ColumnVector plain = MakeGatherRows(type, depth, n, 7 + depth);
+      // The same rows with every seventh one null (its stored content
+      // is the zero/empty placeholder).
+      ColumnVector src(type, depth);
+      for (size_t r = 0; r < n; ++r) {
+        if (r % 7 == 3) {
+          src.AppendNullRow();
+        } else {
+          src.AppendRowRange(plain, r, r + 1);
+        }
+      }
+      ASSERT_EQ(src.num_rows(), n) << shape;
+      for (size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(src.IsNull(r), r % 7 == 3) << shape << " row " << r;
+      }
+
+      Random rng(depth + 100);
+      std::vector<std::vector<uint32_t>> selections = {
+          {}, {5}, {3, 3, 3}, {59, 0, 59}, {10, 11, 12, 13, 40, 41, 2}};
+      std::vector<uint32_t> all(n), reversed(n), random(90);
+      for (uint32_t r = 0; r < n; ++r) all[r] = r;
+      for (uint32_t r = 0; r < n; ++r) reversed[r] = n - 1 - r;
+      for (auto& r : random) r = static_cast<uint32_t>(rng.Uniform(n));
+      selections.push_back(all);
+      selections.push_back(reversed);
+      selections.push_back(random);
+
+      const std::vector<uint32_t> prefix = {1, 3, 2};
+      for (const std::vector<uint32_t>& sel : selections) {
+        const std::string what = shape + " selection of " +
+                                 std::to_string(sel.size());
+        ColumnVector want = ReferenceGather(src, {}, sel);
+
+        auto permuted = src.Permute(sel);
+        ASSERT_TRUE(permuted.ok()) << what;
+        ExpectSameContent(*permuted, want, what + " (Permute)");
+        size_t nulls = 0;
+        for (size_t i = 0; i < sel.size(); ++i) {
+          EXPECT_EQ(permuted->IsNull(i), src.IsNull(sel[i])) << what;
+          nulls += src.IsNull(sel[i]);
+        }
+        EXPECT_EQ(permuted->null_count(), nulls) << what;
+
+        // Appending after rows already present rebases every level.
+        ColumnVector appended(type, depth);
+        for (uint32_t r : prefix) appended.AppendRowFrom(src, r);
+        appended.AppendRows(src, sel);
+        ExpectSameContent(appended, ReferenceGather(src, prefix, sel),
+                          what + " (after a prefix)");
+        for (size_t i = 0; i < sel.size(); ++i) {
+          EXPECT_EQ(appended.IsNull(prefix.size() + i), src.IsNull(sel[i]))
+              << what;
+        }
+      }
+
+      // The row-range form equals gathering the range's indices.
+      for (auto [b, e] : {std::pair<size_t, size_t>{0, n}, {4, 4}, {4, 5},
+                          {17, 45}}) {
+        ColumnVector range(type, depth);
+        range.AppendRowFrom(src, 2);
+        range.AppendRowRange(src, b, e);
+        std::vector<uint32_t> idx;
+        for (size_t r = b; r < e; ++r) idx.push_back(static_cast<uint32_t>(r));
+        ExpectSameContent(range, ReferenceGather(src, {2}, idx),
+                          shape + " range " + std::to_string(b) + ".." +
+                              std::to_string(e));
+      }
+
+      // Placeholders are valid zero/empty rows; the gather rejects
+      // nothing but Permute checks its indices.
+      ColumnVector holes(type, depth);
+      holes.AppendRowFrom(src, -1);
+      holes.AppendRowFrom(src, 0);
+      holes.AppendRowFrom(src, -1);
+      ColumnVector want_holes(type, depth);
+      reference::AppendRow(src, -1, &want_holes);
+      reference::AppendRow(src, 0, &want_holes);
+      reference::AppendRow(src, -1, &want_holes);
+      ExpectSameContent(holes, want_holes, shape + " placeholders");
+      EXPECT_FALSE(src.Permute({static_cast<uint32_t>(n)}).ok()) << shape;
+    }
+  }
+}
+
+TEST(ReaderIdentity, NoDeleteChunksAndPageRunsMatchPerRowReference) {
+  std::vector<Field> fields = MakeMixedSchema().fields();
+  fields.push_back({"nested",
+                    DataType::List(DataType::List(
+                        DataType::Primitive(PhysicalType::kInt64))),
+                    LogicalType::kPlain, false});
+  fields.push_back({"nested_real",
+                    DataType::List(DataType::List(
+                        DataType::Primitive(PhysicalType::kFloat64))),
+                    LogicalType::kPlain, false});
+  fields.push_back({"tags",
+                    DataType::List(DataType::Primitive(PhysicalType::kBinary)),
+                    LogicalType::kPlain, false});
+  Schema schema(std::move(fields));
+  std::vector<std::vector<ColumnVector>> groups;
+  for (uint64_t g = 0; g < 3; ++g) {
+    const size_t rows = 700 + 150 * g;
+    std::vector<ColumnVector> data = MakeMixedData(MakeMixedSchema(), rows, g);
+    data.push_back(MakeGatherRows(PhysicalType::kInt64, 2, rows, 10 + g));
+    data.push_back(MakeGatherRows(PhysicalType::kFloat64, 2, rows, 20 + g));
+    data.push_back(MakeGatherRows(PhysicalType::kBinary, 1, rows, 30 + g));
+    groups.push_back(std::move(data));
+  }
+  for (bool sparse_delta : {false, true}) {
+    InMemoryFileSystem fs;
+    WriterOptions wopts;
+    wopts.rows_per_page = 128;
+    wopts.enable_sparse_delta = sparse_delta;
+    ASSERT_TRUE(WriteTable(&fs, "t", schema, groups, wopts).ok());
+    auto reader = *OpenTable(&fs, "t");
+    reference::ExpectReaderMatchesReference(*reader);
+    // And both equal what was written.
+    for (uint32_t g = 0; g < groups.size(); ++g) {
+      for (uint32_t c = 0; c < schema.num_leaves(); ++c) {
+        ColumnVector col;
+        ASSERT_TRUE(reader->ReadColumnChunk(g, c, ReadOptions{}, &col).ok());
+        EXPECT_EQ(col, groups[g][c]) << schema.leaves()[c].name;
+      }
+    }
+  }
 }
 
 TEST(Footer, ReconstructSchemaLeafLevel) {

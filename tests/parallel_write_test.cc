@@ -204,6 +204,60 @@ TEST(StageRowGroup, RejectsEmptyAndRaggedBatches) {
           .ok());
 }
 
+TEST(WriterValidation, RejectsColumnsThatDoNotMatchTheirLeaf) {
+  std::vector<Field> fields;
+  fields.push_back({"blob", DataType::Primitive(PhysicalType::kBinary),
+                    LogicalType::kPlain, false});
+  fields.push_back({"ids",
+                    DataType::List(DataType::Primitive(PhysicalType::kInt64)),
+                    LogicalType::kPlain, false});
+  Schema schema(std::move(fields));
+  auto good = [] {
+    std::vector<ColumnVector> cols;
+    cols.push_back(ColumnVector(PhysicalType::kBinary, 0));
+    cols.push_back(ColumnVector(PhysicalType::kInt64, 1));
+    for (int r = 0; r < 20; ++r) {
+      cols[0].AppendBinary("b" + std::to_string(r));
+      cols[1].AppendIntList({r, r + 1});
+    }
+    return cols;
+  };
+  // An int64 column where the leaf is binary, and a scalar where the
+  // leaf is a list.
+  std::vector<std::vector<ColumnVector>> bad(2, good());
+  bad[0][0] = ColumnVector(PhysicalType::kInt64, 0);
+  for (int r = 0; r < 20; ++r) bad[0][0].AppendInt(r);
+  bad[1][1] = ColumnVector(PhysicalType::kInt64, 0);
+  for (int r = 0; r < 20; ++r) bad[1][1].AppendInt(r);
+
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    InMemoryFileSystem fs;
+    auto f = fs.NewWritableFile("t");
+    auto writer = WriteBuilder(schema, f->get()).Threads(threads).Build();
+    ASSERT_TRUE(writer.ok());
+    for (const std::vector<ColumnVector>& batch : bad) {
+      Status st = (*writer)->WriteRowGroup(batch);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_FALSE(StageRowGroup(schema, WriterOptions{},
+                                 std::make_shared<const std::vector<ColumnVector>>(
+                                     batch))
+                       .ok());
+    }
+    // The rejected batches left no trace: the file holds the good one.
+    ASSERT_TRUE((*writer)->WriteRowGroup(good()).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+    auto reader = TableReader::Open(*fs.NewReadableFile("t"));
+    ASSERT_TRUE(reader.ok());
+    ASSERT_EQ((*reader)->num_row_groups(), 1u);
+    std::vector<ColumnVector> want = good();
+    for (uint32_t c = 0; c < 2; ++c) {
+      ColumnVector col;
+      ASSERT_TRUE((*reader)->ReadColumnChunk(0, c, ReadOptions{}, &col).ok());
+      EXPECT_EQ(col, want[c]) << "threads " << threads;
+    }
+  }
+}
+
 // ------------------------------------------------- single-file identity
 
 TEST(ParallelWrite, ByteIdenticalToSerialAtEveryThreadCount) {

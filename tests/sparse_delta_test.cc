@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 
 #include "common/random.h"
@@ -255,6 +256,145 @@ TEST(SparseDelta, RejectsCorruptBlock) {
   EXPECT_FALSE(
       DecodeSparseDeltaColumn(Slice(bytes.data(), bytes.size()), &oo, &vv)
           .ok());
+}
+
+// The per-row decoder DecodeSparseDeltaAppend replaced: every row is
+// built in its own vector and the previous row kept as another.
+Status PerRowSparseDeltaDecode(Slice block, std::vector<int64_t>* offsets,
+                               std::vector<int64_t>* values) {
+  SliceReader in(block);
+  BULLION_ASSIGN_OR_RETURN(BlockHeader header, ReadBlockHeader(&in));
+  if (header.type != EncodingType::kSparseDelta) {
+    return Status::Corruption("expected sparse-delta block");
+  }
+  const size_t num_rows = header.count;
+  std::vector<uint8_t> flags;
+  std::vector<int64_t> range_starts, range_ends, head_lens, tail_lens, data;
+  BULLION_RETURN_NOT_OK(DecodeBoolBlock(&in, &flags));
+  BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &range_starts));
+  BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &range_ends));
+  BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &head_lens));
+  BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &tail_lens));
+  BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &data));
+  if (flags.size() != num_rows || head_lens.size() != num_rows ||
+      tail_lens.size() != num_rows ||
+      range_ends.size() != range_starts.size()) {
+    return Status::Corruption("metadata count mismatch");
+  }
+  offsets->assign(1, 0);
+  values->clear();
+  size_t data_pos = 0;
+  size_t delta_idx = 0;
+  std::vector<int64_t> prev;
+  for (size_t r = 0; r < num_rows; ++r) {
+    std::vector<int64_t> cur;
+    if (head_lens[r] < 0 || tail_lens[r] < 0) {
+      return Status::Corruption("negative head/tail length");
+    }
+    const size_t head = static_cast<size_t>(head_lens[r]);
+    const size_t tail = static_cast<size_t>(tail_lens[r]);
+    const size_t left = data.size() - data_pos;
+    if (flags[r]) {
+      if (delta_idx >= range_starts.size()) {
+        return Status::Corruption("range stream exhausted");
+      }
+      if (range_starts[delta_idx] < 0 || range_ends[delta_idx] < 0) {
+        return Status::Corruption("negative range");
+      }
+      const size_t s = static_cast<size_t>(range_starts[delta_idx]);
+      const size_t e = static_cast<size_t>(range_ends[delta_idx]);
+      ++delta_idx;
+      if (s > e || e > prev.size()) return Status::Corruption("range");
+      if (head > left || tail > left - head) {
+        return Status::Corruption("data stream exhausted");
+      }
+      cur.insert(cur.end(), data.begin() + data_pos,
+                 data.begin() + data_pos + head);
+      data_pos += head;
+      cur.insert(cur.end(), prev.begin() + s, prev.begin() + e);
+      cur.insert(cur.end(), data.begin() + data_pos,
+                 data.begin() + data_pos + tail);
+      data_pos += tail;
+    } else {
+      if (tail > left) return Status::Corruption("base stream exhausted");
+      cur.assign(data.begin() + data_pos, data.begin() + data_pos + tail);
+      data_pos += tail;
+    }
+    values->insert(values->end(), cur.begin(), cur.end());
+    offsets->push_back(static_cast<int64_t>(values->size()));
+    prev = std::move(cur);
+  }
+  if (delta_idx != range_starts.size() || data_pos != data.size()) {
+    return Status::Corruption("trailing payload");
+  }
+  return Status::OK();
+}
+
+TEST(SparseDelta, InPlaceDecodeMatchesPerRowDecoder) {
+  const SweepCase cases[] = {{0.0, 16}, {0.3, 16}, {1.0, 64}, {0.25, 256},
+                             {0.1, 1}};
+  for (const SweepCase& c : cases) {
+    std::vector<int64_t> offsets, values;
+    MakeSlidingWindowData(12, 25, c.window, c.shift_prob, 5, &offsets,
+                          &values);
+    auto block = EncodeSparseDeltaColumn(offsets, values);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    std::vector<int64_t> want_offsets, want_values;
+    ASSERT_TRUE(PerRowSparseDeltaDecode(block->AsSlice(), &want_offsets,
+                                        &want_values)
+                    .ok());
+    std::vector<int64_t> got_offsets, got_values;
+    ASSERT_TRUE(
+        DecodeSparseDeltaColumn(block->AsSlice(), &got_offsets, &got_values)
+            .ok());
+    EXPECT_EQ(got_offsets, want_offsets);
+    EXPECT_EQ(got_values, want_values);
+
+    // Appending after existing rows rebases the offsets onto them and
+    // leaves the earlier values alone.
+    std::vector<int64_t> app_offsets = {0, 3};
+    std::vector<int64_t> app_values = {-1, -2, -3};
+    ASSERT_TRUE(
+        DecodeSparseDeltaAppend(block->AsSlice(), &app_offsets, &app_values)
+            .ok());
+    ASSERT_EQ(app_offsets.size(), want_offsets.size() + 1);
+    for (size_t r = 0; r < want_offsets.size(); ++r) {
+      EXPECT_EQ(app_offsets[r + 1], want_offsets[r] + 3);
+    }
+    ASSERT_EQ(app_values.size(), want_values.size() + 3);
+    EXPECT_TRUE(std::equal(want_values.begin(), want_values.end(),
+                           app_values.begin() + 3));
+    EXPECT_EQ(app_values[2], -3);
+  }
+}
+
+TEST(SparseDelta, InPlaceDecodeAgreesWithPerRowDecoderOnCorruptBlocks) {
+  std::vector<int64_t> offsets, values;
+  MakeSlidingWindowData(6, 20, 16, 0.3, 9, &offsets, &values);
+  auto block = EncodeSparseDeltaColumn(offsets, values);
+  ASSERT_TRUE(block.ok());
+  Random rng(31);
+  size_t rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<uint8_t> bytes(block->data(), block->data() + block->size());
+    for (int k = 0; k < 1 + trial % 3; ++k) {
+      bytes[rng.Uniform(bytes.size())] ^=
+          static_cast<uint8_t>(1 + rng.Uniform(255));
+    }
+    Slice corrupt(bytes.data(), bytes.size());
+    std::vector<int64_t> wo, wv, go, gv;
+    Status want = PerRowSparseDeltaDecode(corrupt, &wo, &wv);
+    Status got = DecodeSparseDeltaColumn(corrupt, &go, &gv);
+    ASSERT_EQ(got.ok(), want.ok()) << trial << ": " << got.ToString()
+                                   << " vs " << want.ToString();
+    if (got.ok()) {
+      EXPECT_EQ(go, wo) << trial;
+      EXPECT_EQ(gv, wv) << trial;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
